@@ -287,9 +287,11 @@ def cmd_transform_reconstruct(args) -> int:
 
         err = max_abs_diff(out, original)
         scale = max(1.0, original.linf())
-        verdict = "ok" if err <= args.tol_pr * scale else "EXCEEDS tolerance"
+        ok = err <= args.tol_pr * scale
         print(f"max roundtrip error vs {args.check}: {err:.3e} "
-              f"({verdict}, tol {args.tol_pr:g} relative)")
+              f"({'ok' if ok else 'EXCEEDS tolerance'}, tol {args.tol_pr:g} relative)")
+        if not ok:
+            return 2
     return 0
 
 

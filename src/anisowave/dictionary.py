@@ -9,6 +9,7 @@ diagonal and reindexing with the unimodular Smith factor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,9 +27,15 @@ from .lattice import (
 )
 from .seqcore import (
     CoefSeq,
+    Taps,
     Window,
+    _image_box,
     _preimage_box,
+    _qmf_gap,
     cross_qmf_residual,
+    embed,
+    polyphase_analysis,
+    polyphase_subdivision,
     reindex,
     sample_polynomial,
     tensor,
@@ -195,13 +202,20 @@ class AnisoFilterBank:
                    for i in range(self.dim))
         return Window(lo, hi)
 
+    @functools.cached_property
+    def taps(self) -> dict[tuple[int, ...], Taps]:
+        """Each filter's nonzero taps (its polyphase components), split once."""
+        return {eta: Taps(f) for eta, f in self.filters.items()}
+
     def residual_matrix(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
         """Cross-QMF residual for every ordered pair of filters."""
         out = {}
-        for eta in self.indices():
-            for eta2 in self.indices():
-                out[(eta, eta2)] = cross_qmf_residual(
-                    self.filters[eta], self.filters[eta2], self.xi, eta == eta2)
+        indices = self.indices()
+        for eta in indices:
+            lagged = polyphase_analysis(self.filters[eta], self.xi,
+                                        [self.taps[eta2] for eta2 in indices])
+            for eta2, lag in zip(indices, lagged):
+                out[(eta, eta2)] = _qmf_gap(lag, self.det, eta == eta2)
         return out
 
 
@@ -264,51 +278,49 @@ class ReproductionReport:
 
 def analysis_core(window: Window, xi: IntMatrix, support: Window) -> list[tuple[int, ...]]:
     """Lags gamma whose analysis taps xi*gamma + support stay inside window."""
+    return [tuple(g) for g in _core_lags(window, xi, support).tolist()]
+
+
+def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
+    """``analysis_core`` as an (n, s) integer array, rows in the same order."""
     lo = tuple(wl - sl for wl, sl in zip(window.lo, support.lo))
     hi = tuple(wh - sh for wh, sh in zip(window.hi, support.hi))
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    box = _preimage_box(xi, Window(lo, hi))
+    box = None
+    if all(l <= h for l, h in zip(lo, hi)):
+        box = _preimage_box(xi, Window(lo, hi))
     if box is None:
-        return []
-    core = []
-    for gamma in Window(*box).points():
-        image = xi.apply(gamma)
-        if all(l <= x <= h for l, x, h in zip(lo, image, hi)):
-            core.append(gamma)
-    return core
+        return np.zeros((0, xi.dim), dtype=np.int64)
+    shape = tuple(h - l + 1 for l, h in zip(*box))
+    lags = np.indices(shape, dtype=np.int64).reshape(xi.dim, -1).T + np.array(box[0])
+    image = lags @ np.array(xi.entries, dtype=np.int64).T
+    return lags[np.all((image >= np.array(lo)) & (image <= np.array(hi)), axis=1)]
 
 
-def _subdivision_core(window: Window, xi: IntMatrix,
-                      mask: CoefSeq) -> list[tuple[int, ...]]:
-    """Output cells of one subdivision step fed only by in-window data."""
-    supp = [m for m in mask.window.points() if mask.value(m) != 0.0]
-    fed: set[tuple[int, ...]] = set()
-    for alpha in window.points():
-        xa = xi.apply(alpha)
-        for m in supp:
-            fed.add(tuple(x + mm for x, mm in zip(xa, m)))
-    if not fed:
+def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarray:
+    """Output cells of one subdivision step fed only by in-window data.
+
+    A cell qualifies when some mask tap reaches it from a point of the
+    window and none reaches it from a point outside.  Subdividing
+    indicators counts the (point, tap) pairs reaching each cell.
+    Returns the cells as (n, s) integer rows in lexicographic order.
+    """
+    indicator = CoefSeq(mask.origin, mask.data != 0).trimmed()
+    if not indicator.sum():
         raise WindowTooSmallError("empty subdivision output")
-    dims = range(xi.dim)
-    fed_lo = tuple(min(b[i] for b in fed) for i in dims)
-    fed_hi = tuple(max(b[i] for b in fed) for i in dims)
-    # any alpha with xi*alpha in fed_box - supp_box can taint output cells
-    reach_lo = tuple(fed_lo[i] - mask.window.hi[i] for i in dims)
-    reach_hi = tuple(fed_hi[i] - mask.window.lo[i] for i in dims)
-    box = _preimage_box(xi, Window(reach_lo, reach_hi))
-    if box is not None:
-        for alpha in Window(*box).points():
-            if window.contains(alpha):
-                continue
-            xa = xi.apply(alpha)
-            if any(x < rl or x > rh for x, rl, rh in zip(xa, reach_lo, reach_hi)):
-                continue
-            for m in supp:
-                fed.discard(tuple(x + mm for x, mm in zip(xa, m)))
-    if not fed:
+    img_lo, img_hi = _image_box(xi, window)
+    taps = indicator.window
+    # every point whose taps can reach a cell that the window feeds
+    near = Window(*_preimage_box(xi, Window(
+        tuple(i + t - m for i, t, m in zip(img_lo, taps.lo, mask.window.hi)),
+        tuple(i + t - m for i, t, m in zip(img_hi, taps.hi, mask.window.lo)))))
+    fed_all = polyphase_subdivision(CoefSeq(near.lo, np.ones(near.shape)), xi, indicator)
+    fed_inside = polyphase_subdivision(CoefSeq(window.lo, np.ones(window.shape)), xi,
+                                       indicator)
+    fed_inside = embed(fed_inside, fed_all.origin, fed_all.window.hi)
+    clean = np.argwhere((fed_inside > 0) & (fed_inside == fed_all.data))
+    if not len(clean):
         raise WindowTooSmallError("no boundary-free subdivision output cells")
-    return sorted(fed)
+    return clean + np.array(fed_all.origin)
 
 
 def _fit_polynomial(points: np.ndarray, values: np.ndarray, degree: int) -> float:
@@ -341,13 +353,11 @@ def reproduction_check(bank: AnisoFilterBank, degree: int,
     from . import mmra
     from .subdivision import SubdivisionOp, subdivide
 
-    hull = bank.support_hull()
-    core = analysis_core(window, bank.xi, hull)
-    if not core:
+    core = _core_lags(window, bank.xi, bank.support_hull())
+    if not len(core):
         raise WindowTooSmallError(
             f"window {window.lo}..{window.hi} has no boundary-free core")
     out_core = _subdivision_core(window, bank.xi, bank.lowpass)
-    out_pts = np.array(out_core, dtype=np.float64)
 
     rows = []
     for expo in itertools.product(range(degree + 1), repeat=bank.dim):
@@ -355,12 +365,11 @@ def reproduction_check(bank: AnisoFilterBank, degree: int,
             continue
         samples = sample_polynomial([(1.0, expo)], window)
         parts = mmra.analyze(bank, samples)
-        detail_max = max(
-            max(abs(parts[eta].value(g)) for g in core)
-            for eta in bank.highpass_indices())
+        detail_max = max(float(np.abs(parts[eta].values_at(core)).max())
+                         for eta in bank.highpass_indices())
 
-        refined = subdivide(SubdivisionOp(bank.xi, bank.lowpass), samples)
-        vals = np.array([refined.value(b) for b in out_core])
-        fit = _fit_polynomial(out_pts, vals, sum(expo))
+        refined = subdivide(SubdivisionOp.from_bank(bank), samples)
+        fit = _fit_polynomial(out_core.astype(np.float64), refined.values_at(out_core),
+                              sum(expo))
         rows.append(ReproductionRow(expo, detail_max, fit))
     return ReproductionReport(degree, window, tuple(rows))

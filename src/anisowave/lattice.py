@@ -77,16 +77,8 @@ class IntMatrix:
         n = self.dim
         return tuple(sum(self.entries[i][k] * v[k] for k in range(n)) for i in range(n))
 
-    def transpose(self) -> "IntMatrix":
-        n = self.dim
-        return IntMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
-
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j] == 0
-                   for i in range(self.dim) for j in range(self.dim) if i != j)
 
 
 @dataclass(frozen=True)

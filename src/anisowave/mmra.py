@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .dictionary import (
     AnisoFilterBank,
     UnivariateQMFSet,
-    analysis_core,
+    _core_lags,
     build_bank,
 )
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .lattice import DilationFamily, contractivity_bound_power, dilation_family
-from .seqcore import CoefSeq, Window, correlate, downsample, max_abs_diff, seq_add
+from .seqcore import CoefSeq, Window, max_abs_diff, polyphase_analysis, seq_add
 from .subdivision import SubdivisionOp, subdivide
 
 BRANCH_AGREEMENT_TOL = 1e-8
@@ -53,15 +55,15 @@ def analyze(bank: AnisoFilterBank, c: CoefSeq) -> dict[Digits, CoefSeq]:
     if c.dim != bank.dim:
         raise DimMismatchError(f"signal dim {c.dim} != bank dim {bank.dim}")
     scale = 1.0 / bank.det
-    return {eta: downsample(correlate(c, f), bank.xi).scaled(scale)
-            for eta, f in bank.filters.items()}
+    parts = polyphase_analysis(c, bank.xi, [bank.taps[eta] for eta in bank.filters])
+    return {eta: part.scaled(scale) for eta, part in zip(bank.filters, parts)}
 
 
 def synthesize(bank: AnisoFilterBank, parts: Mapping[Digits, CoefSeq]) -> CoefSeq:
     """Rebuild a signal from components: sum of per-filter subdivisions."""
     out = None
     for eta, part in sorted(parts.items()):
-        piece = subdivide(SubdivisionOp(bank.xi, bank.filter_at(eta)), part)
+        piece = subdivide(SubdivisionOp.from_bank(bank, eta), part)
         out = piece if out is None else seq_add(out, piece)
     if out is None:
         raise ValueError("no components to synthesize")
@@ -187,7 +189,7 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
     """
     def step(box: Window, j: int) -> Window | None:
         bank = config.banks[j]
-        if not analysis_core(box, bank.xi, bank.support_hull()):
+        if not len(_core_lags(box, bank.xi, bank.support_hull())):
             return None
         return _approx_box(box, bank)
 
@@ -260,9 +262,16 @@ def reconstruct(config: MMRAConfig, tree: DecompositionTree) -> CoefSeq:
     In full-tree mode every branch reconstructs the same parent
     approximation; the branches are compared and any disagreement
     beyond tolerance raises ``InconsistentTreeError`` instead of being
-    averaged away.
+    averaged away.  A tree holding non-finite values raises the same
+    error, since no comparison can vouch for it.
     """
     zero = (0,) * config.banks[0].dim
+    for key, node in tree.nodes.items():
+        arrays = list(node.details.values())
+        if node.approx is not None:
+            arrays.append(node.approx)
+        if not all(np.isfinite(a.data).all() for a in arrays):
+            raise InconsistentTreeError(f"node {key} holds non-finite values")
 
     if tree.mode == "path":
         path = max(tree.nodes.keys(), key=len)
@@ -293,7 +302,7 @@ def reconstruct(config: MMRAConfig, tree: DecompositionTree) -> CoefSeq:
         scale = max(1.0, candidates[0].linf())
         for j in range(1, tree.m):
             gap = max_abs_diff(candidates[0], candidates[j])
-            if gap > BRANCH_AGREEMENT_TOL * scale:
+            if not gap <= BRANCH_AGREEMENT_TOL * scale:
                 raise InconsistentTreeError(
                     f"branches 0 and {j} below node {path} disagree by {gap:.3e}")
         return candidates[0]
@@ -349,7 +358,6 @@ def _slope_value(family: DilationFamily, eps: Sequence[int],
                  u: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Apply the contraction word to u; the last digit acts first."""
     x = family.ratio
-    k = family.dim - 1
     val = list(u)
     for d in reversed(tuple(eps)):
         if not 0 <= d < family.dim:

@@ -5,10 +5,21 @@ with the box's lowest corner; lookups outside the box are zero.  The
 operations here (convolution, correlation, lattice up/downsampling,
 unimodular reindexing, tensor products) are the raw material for masks,
 filters and signals alike.
+
+The multirate steps run polyphase over the cosets of the dilation xi.
+A tap beta = xi nu + rho of a filter belongs to the phase f_rho of the
+coset rho + xi Z^s; in a dense array the points xi gamma + beta form a
+strided view, so analysis (``polyphase_analysis``: correlate, then keep
+the lags on xi Z^s) reads one such view per tap, and subdivision
+(``polyphase_subdivision``: spread onto xi Z^s, then convolve) adds into
+one per tap.  Every multiply-add pairs a nonzero tap with a sample on
+the coarse lattice: nothing is computed and then thrown away, and no
+upsampled grid of zeros is built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,6 +97,14 @@ class CoefSeq:
             return 0.0
         return float(self.data[idx])
 
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """``value`` at every row of an (n, dim) integer array."""
+        rel = np.asarray(points, dtype=np.int64) - np.asarray(self.origin)
+        inside = np.all((rel >= 0) & (rel < np.asarray(self.shape)), axis=1)
+        out = np.zeros(len(rel))
+        out[inside] = self.data[tuple(rel[inside].T)]
+        return out
+
     def scaled(self, factor: float) -> "CoefSeq":
         return CoefSeq(self.origin, self.data * factor)
 
@@ -97,13 +116,15 @@ class CoefSeq:
 
     def trimmed(self) -> "CoefSeq":
         """Shrink the box to the exact nonzero support (keeps one cell if all zero)."""
-        nz = np.nonzero(self.data)
-        if nz[0].size == 0:
+        nz = self.data != 0
+        if not nz.any():
             return CoefSeq((0,) * self.dim, np.zeros((1,) * self.dim))
-        lo = [int(ix.min()) for ix in nz]
-        hi = [int(ix.max()) for ix in nz]
-        sl = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
-        return CoefSeq(tuple(o + l for o, l in zip(self.origin, lo)), self.data[sl].copy())
+        axes = range(self.dim)
+        hits = [np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a)))
+                for a in axes]
+        sl = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+        origin = tuple(o + s.start for o, s in zip(self.origin, sl))
+        return CoefSeq(origin, self.data[sl].copy())
 
     def sum(self) -> float:
         return float(self.data.sum())
@@ -145,14 +166,24 @@ def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
     return convolve(a, b.reversed())
 
 
+@functools.lru_cache(maxsize=256)
+def _integer_inverse(m: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, den) with m^-1 = adj / den and den = |det m| > 0; once per matrix."""
+    d = determinant(m)
+    if d == 0:
+        raise SingularMatrixError("dilation matrix is singular")
+    inv = rational_inverse(m)
+    adj = tuple(tuple(int(x * abs(d)) for x in row) for row in inv.entries)
+    return adj, abs(d)
+
+
 def _preimage_box(m: IntMatrix, window: Window) -> tuple[Vec, Vec] | None:
     """Integer bounding box of m^-1 applied to the window (None if empty)."""
-    inv = rational_inverse(m)
-    s = m.dim
-    corners = [inv.apply(c)
+    adj, den = _integer_inverse(m)
+    corners = [tuple(sum(a * x for a, x in zip(row, c)) for row in adj)
                for c in itertools.product(*zip(window.lo, window.hi))]
-    lo = tuple(math.ceil(min(c[i] for c in corners)) for i in range(s))
-    hi = tuple(math.floor(max(c[i] for c in corners)) for i in range(s))
+    lo = tuple(-(-min(c[i] for c in corners) // den) for i in range(m.dim))
+    hi = tuple(max(c[i] for c in corners) // den for i in range(m.dim))
     if any(l > h for l, h in zip(lo, hi)):
         return None
     return lo, hi
@@ -160,11 +191,36 @@ def _preimage_box(m: IntMatrix, window: Window) -> tuple[Vec, Vec] | None:
 
 def _image_box(m: IntMatrix, window: Window) -> tuple[Vec, Vec]:
     """Integer bounding box of m applied to the window."""
-    s = m.dim
-    corners = [m.apply(c) for c in itertools.product(*zip(window.lo, window.hi))]
-    lo = tuple(min(c[i] for c in corners) for i in range(s))
-    hi = tuple(max(c[i] for c in corners) for i in range(s))
+    lo = tuple(sum(min(a * l, a * h) for a, l, h in zip(row, window.lo, window.hi))
+               for row in m.entries)
+    hi = tuple(sum(max(a * l, a * h) for a, l, h in zip(row, window.lo, window.hi))
+               for row in m.entries)
     return lo, hi
+
+
+def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
+                   box_lo: Sequence[int], shape: Sequence[int],
+                   shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strided views of the lattice points m (box_lo + i) + shifts[k] of arr.
+
+    arr is a C-contiguous array over the box with lowest corner lo.
+    Returns (view, rows): view[rows[k]][i] is the cell of arr at
+    m (box_lo + i) + shifts[k].  Every such point must lie in arr's box
+    (numpy refuses a view reaching outside arr's buffer).  No index
+    arrays are built: the map i -> m i is the stride vector m^T e,
+    where e holds arr's element strides.
+    """
+    e = np.asarray(arr.strides, dtype=np.int64) // arr.itemsize
+    mat = np.asarray(m.entries, dtype=np.int64)
+    base = int((mat @ np.asarray(box_lo, dtype=np.int64)
+                - np.asarray(lo, dtype=np.int64)) @ e)
+    offsets = np.asarray(shifts, dtype=np.int64).reshape(-1, m.dim) @ e + base
+    first = int(offsets.min())
+    steps = (mat.T @ e) * arr.itemsize
+    view = np.ndarray((int(offsets.max()) - first + 1, *shape), dtype=arr.dtype,
+                      buffer=arr, offset=first * arr.itemsize,
+                      strides=(arr.itemsize, *(int(x) for x in steps)))
+    return view, offsets - first
 
 
 def _gather(c: CoefSeq, m: IntMatrix) -> CoefSeq:
@@ -174,14 +230,10 @@ def _gather(c: CoefSeq, m: IntMatrix) -> CoefSeq:
         return CoefSeq((0,) * c.dim, np.zeros((1,) * c.dim))
     lo, hi = box
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    idx = np.indices(shape, dtype=np.int64).reshape(c.dim, -1)
-    idx += np.asarray(lo, dtype=np.int64)[:, None]
-    beta = np.asarray(m.entries, dtype=np.int64) @ idx
-    rel = beta - np.asarray(c.origin, dtype=np.int64)[:, None]
-    ok = np.all((rel >= 0) & (rel < np.asarray(c.shape)[:, None]), axis=0)
-    out = np.zeros(math.prod(shape))
-    out[ok] = c.data[tuple(rel[:, ok])]
-    return CoefSeq(lo, out.reshape(shape)).trimmed()
+    src_lo, src_hi = _image_box(m, Window(lo, hi))
+    view, rows = _shifted_views(embed(c, src_lo, src_hi), src_lo, m, lo, shape,
+                                np.zeros(c.dim))
+    return CoefSeq(lo, view[rows[0]]).trimmed()
 
 
 def downsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
@@ -200,13 +252,9 @@ def upsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
     if determinant(xi) == 0:
         raise SingularMatrixError("dilation matrix is singular")
     lo, hi = _image_box(xi, c.window)
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    out = np.zeros(shape)
-    idx = np.indices(c.shape, dtype=np.int64).reshape(c.dim, -1)
-    idx += np.asarray(c.origin, dtype=np.int64)[:, None]
-    beta = np.asarray(xi.entries, dtype=np.int64) @ idx
-    beta -= np.asarray(lo, dtype=np.int64)[:, None]
-    out[tuple(beta)] = c.data.reshape(-1)
+    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
+    view, rows = _shifted_views(out, lo, xi, c.origin, c.shape, np.zeros(c.dim))
+    view[rows[0]] = c.data
     return CoefSeq(lo, out)
 
 
@@ -232,6 +280,107 @@ def tensor(factors: Sequence[CoefSeq]) -> CoefSeq:
     return CoefSeq(origin, data)
 
 
+# -- the polyphase multirate kernel -----------------------------------------
+
+#: cells of stacked shifted copies that one analysis step may hold at once
+_STACK_CELLS = 1 << 20
+
+
+class Taps:
+    """The nonzero taps of a filter, split once and reused on every call.
+
+    positions[k] is the lattice point beta_k of the k-th nonzero tap and
+    weights[k] its value; window is the filter's support box.  Grouped
+    by the coset of beta under a dilation xi, the taps are the filter's
+    polyphase components f_rho(nu) = f(xi nu + rho).
+    """
+
+    __slots__ = ("window", "positions", "weights")
+
+    def __init__(self, f: CoefSeq):
+        nz = np.nonzero(f.data)
+        self.window = f.window
+        self.positions = (np.stack(nz, axis=1).astype(np.int64)
+                          + np.asarray(f.origin, dtype=np.int64))
+        self.weights = f.data[nz]
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
+                       filters: Sequence[Taps]) -> list[CoefSeq]:
+    """downsample(correlate(c, f), xi) for every filter f, computed polyphase.
+
+    Component(gamma) = sum_beta f(beta) c(xi gamma + beta)
+    = sum_rho correlate(c_rho, f_rho)(gamma): each tap beta = xi nu + rho
+    reads the phase c_rho(mu) = c(xi mu + rho), shifted by nu, as a
+    strided view of c.  The lags run over one box holding every lag of
+    every filter, and each result is trimmed as the direct path trims
+    it, so it lands on the same box.
+    """
+    s = c.dim
+    hull_lo = tuple(min(f.window.lo[i] for f in filters) for i in range(s))
+    hull_hi = tuple(max(f.window.hi[i] for f in filters) for i in range(s))
+    box = _preimage_box(xi, Window(tuple(a - b for a, b in zip(c.window.lo, hull_hi)),
+                                   tuple(a - b for a, b in zip(c.window.hi, hull_lo))))
+    if box is None:
+        return [CoefSeq((0,) * s, np.zeros((1,) * s)) for _ in filters]
+    lo, hi = box
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    img_lo, img_hi = _image_box(xi, Window(lo, hi))
+    src_lo = tuple(a + b for a, b in zip(img_lo, hull_lo))
+    src = embed(c, src_lo, tuple(a + b for a, b in zip(img_hi, hull_hi)))
+    cells = math.prod(shape)
+    chunk = max(1, _STACK_CELLS // cells)
+    out = []
+    for f in filters:
+        acc = np.zeros(cells)
+        if len(f):
+            view, rows = _shifted_views(src, src_lo, xi, lo, shape, f.positions)
+            for k in range(0, len(f), chunk):
+                stack = view[rows[k:k + chunk]].reshape(-1, cells)
+                acc += f.weights[k:k + chunk] @ stack
+        out.append(CoefSeq(lo, acc.reshape(shape)).trimmed())
+    return out
+
+
+def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq,
+                          taps: Taps | None = None) -> CoefSeq:
+    """convolve(mask, upsample(c, xi)), computed polyphase.
+
+    out(xi gamma + rho) = (m_rho * c)(gamma): each mask tap
+    beta = xi nu + rho adds beta's weight times c into the strided view
+    of the output at xi alpha + beta, which lies in coset rho.  The
+    loop runs over the operand with fewer nonzeros: when c has fewer
+    than the mask (a few samples spread by a large dilation), each
+    nonzero c(alpha) adds a scaled copy of the mask at xi alpha
+    instead.  The output box is the image box of c's window widened by
+    the mask window, as for the direct composition.  taps is
+    ``Taps(mask)`` if the caller holds it; otherwise the mask is split
+    here when its taps are needed.
+    """
+    img_lo, img_hi = _image_box(xi, c.window)
+    lo = tuple(a + b for a, b in zip(img_lo, mask.window.lo))
+    hi = tuple(a + b for a, b in zip(img_hi, mask.window.hi))
+    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
+    mask_taps = len(taps) if taps is not None else np.count_nonzero(mask.data)
+    if np.count_nonzero(c.data) < mask_taps:
+        spread = Taps(c)
+        shifts = spread.positions @ np.asarray(xi.entries, dtype=np.int64).T
+        weights, src, step = spread.weights, mask, IntMatrix.identity(c.dim)
+    else:
+        taps = taps if taps is not None else Taps(mask)
+        shifts, weights, src, step = taps.positions, taps.weights, c, xi
+    if len(weights):
+        view, rows = _shifted_views(out, lo, step, src.origin, src.shape, shifts)
+        scaled = np.empty(src.shape)
+        for row, w in zip(rows, weights):
+            target = view[row]
+            target += np.multiply(src.data, w, out=scaled)
+    return CoefSeq(lo, out)
+
+
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:
     """Deviation of a mask from the orthonormality (QMF) identity.
 
@@ -250,15 +399,23 @@ def cross_qmf_residual(b: CoefSeq, b2: CoefSeq, xi: IntMatrix, same: bool) -> fl
     d = determinant(xi)
     if d == 0:
         raise SingularMatrixError("dilation matrix is singular")
-    lagged = downsample(correlate(b, b2), xi)
+    return _qmf_gap(polyphase_analysis(b, xi, [Taps(b2)])[0], abs(d), same)
+
+
+def _qmf_gap(lagged: CoefSeq, det: int, same: bool) -> float:
+    """Sup distance of the lagged correlation of a filter pair from its QMF target.
+
+    lagged(gamma) = sum_alpha b(alpha) b2(alpha - xi gamma); the target
+    is det at gamma = 0 when the pair is one filter twice, else zero.
+    """
     if not same:
         return lagged.linf()
     arr = lagged.data.copy()
     idx = tuple(-o for o in lagged.origin)
     if all(0 <= i < n for i, n in zip(idx, lagged.shape)):
-        arr[idx] -= abs(d)
+        arr[idx] -= det
         return float(np.abs(arr).max())
-    return max(lagged.linf(), float(abs(d)))
+    return max(lagged.linf(), float(det))
 
 
 def sample_polynomial(terms: Iterable[tuple[float, Sequence[int]]],
@@ -286,11 +443,14 @@ def _union_box(a: CoefSeq, b: CoefSeq) -> tuple[Vec, Vec]:
 
 
 def embed(c: CoefSeq, lo: Vec, hi: Vec) -> np.ndarray:
-    """Dense copy of c on the box [lo, hi] (zero padded)."""
+    """Dense copy of c on the box [lo, hi] (zero padded, cropped to the box)."""
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     out = np.zeros(shape)
-    sl = tuple(slice(o - l, o - l + n) for o, l, n in zip(c.origin, lo, c.shape))
-    out[sl] = c.data
+    a = [max(o, l) for o, l in zip(c.origin, lo)]
+    b = [min(o + n, l + m) for o, n, l, m in zip(c.origin, c.shape, lo, shape)]
+    if all(x < y for x, y in zip(a, b)):
+        out[tuple(slice(x - l, y - l) for x, y, l in zip(a, b, lo))] = \
+            c.data[tuple(slice(x - o, y - o) for x, y, o in zip(a, b, c.origin))]
     return out
 
 

@@ -28,14 +28,14 @@ from .errors import (
 from .lattice import IntMatrix, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
+    Taps,
     Window,
     _image_box,
-    convolve,
     delta,
     downsample,
     max_abs_diff,
+    polyphase_subdivision,
     reindex,
-    upsample,
 )
 
 DEFAULT_CELL_CAP = 10 ** 8
@@ -49,10 +49,16 @@ def _cell_cap(cell_cap: int | None) -> int:
 
 @dataclass(frozen=True)
 class SubdivisionOp:
-    """Mask plus dilation matrix; application is mask-weighted spreading."""
+    """Mask plus dilation matrix; application is mask-weighted spreading.
+
+    taps, when given, is ``Taps(mask)`` split once by the caller (a
+    bank's filters are split once per bank); otherwise ``subdivide``
+    splits the mask when it needs the taps.
+    """
 
     xi: IntMatrix
     mask: CoefSeq = field(repr=False)
+    taps: Taps | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.xi.dim != self.mask.dim:
@@ -61,12 +67,19 @@ class SubdivisionOp:
         if determinant(self.xi) == 0:
             raise SingularMatrixError("dilation matrix is singular")
 
+    @classmethod
+    def from_bank(cls, bank: AnisoFilterBank,
+                  eta: Sequence[int] | None = None) -> "SubdivisionOp":
+        """Operator of one bank filter (the lowpass by default) with its cached taps."""
+        key = (0,) * bank.dim if eta is None else tuple(int(e) for e in eta)
+        return cls(bank.xi, bank.filter_at(key), bank.taps[key])
+
 
 def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     """One subdivision step: sum_alpha mask(. - xi alpha) c(alpha)."""
     if c.dim != op.mask.dim:
         raise DimMismatchError(f"data dim {c.dim} != mask dim {op.mask.dim}")
-    return convolve(op.mask, upsample(c, op.xi))
+    return polyphase_subdivision(c, op.xi, op.mask, op.taps)
 
 
 def _next_cells(op: SubdivisionOp, window: Window) -> int:
@@ -137,7 +150,7 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int,
         raise ValueError("wavelet sampling needs r >= 1")
     cap = _cell_cap(cell_cap)
     c = bank.filter_at(eta)
-    low = SubdivisionOp(bank.xi, bank.lowpass)
+    low = SubdivisionOp.from_bank(bank)
     for _ in range(r - 1):
         c = _guarded_subdivide(low, c, cap)
     return _as_sampled(c, r, _matrix_power(bank.xi, r))
@@ -179,7 +192,7 @@ def conjugation_check(bank: AnisoFilterBank, r: int,
         raise ValueError("level must be >= 0")
     cap = _cell_cap(cell_cap)
     lhs = delta(bank.dim)
-    op = SubdivisionOp(bank.xi, bank.lowpass)
+    op = SubdivisionOp.from_bank(bank)
     for _ in range(r):
         lhs = _guarded_subdivide(op, lhs, cap)
 
@@ -215,28 +228,13 @@ def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],
         if not 0 <= d < len(banks):
             raise BadDigitError(f"digit {d} outside range(0, {len(banks)})")
         bank = banks[d]
-        c = _guarded_subdivide(SubdivisionOp(bank.xi, bank.lowpass), c, cap)
+        c = _guarded_subdivide(SubdivisionOp.from_bank(bank), c, cap)
         total = bank.xi @ total
-    tail = SubdivisionOp(banks[0].xi, banks[0].lowpass)
+    tail = SubdivisionOp.from_bank(banks[0])
     for _ in range(r_tail):
         c = _guarded_subdivide(tail, c, cap)
     total = _matrix_power(banks[0].xi, r_tail) @ total
     return _as_sampled(c, r_tail + len(mu), total)
-
-
-def _mask_combination(weights: CoefSeq, shift: IntMatrix, base: CoefSeq) -> CoefSeq:
-    """sum_gamma weights(gamma) base(. - shift gamma), accumulated densely."""
-    points = [g for g in weights.window.points() if weights.value(g) != 0.0]
-    shifts = [shift.apply(g) for g in points]
-    lo = tuple(min(base.origin[i] + s[i] for s in shifts) for i in range(base.dim))
-    hi = tuple(max(base.origin[i] + base.shape[i] - 1 + s[i] for s in shifts)
-               for i in range(base.dim))
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    for g, s in zip(points, shifts):
-        sl = tuple(slice(o + sh - l, o + sh - l + n)
-                   for o, sh, l, n in zip(base.origin, s, lo, base.shape))
-        out[sl] += weights.value(g) * base.data
-    return CoefSeq(lo, out)
 
 
 def joint_refinement_residual(banks: Sequence[AnisoFilterBank], j: int,
@@ -252,7 +250,9 @@ def joint_refinement_residual(banks: Sequence[AnisoFilterBank], j: int,
         raise BadDigitError(f"digit {j} outside range(0, {len(banks)})")
     coarse = multiple_limit(banks, mu, r_tail, cell_cap)
     fine = multiple_limit(banks, (j,) + tuple(mu), r_tail, cell_cap)
-    rhs = _mask_combination(banks[j].lowpass, coarse.xi_total, coarse.as_seq())
+    # sum_gamma lowpass_j(gamma) coarse(. - X gamma) is the subdivision
+    # step with dilation X = coarse.xi_total whose mask is the coarse samples
+    rhs = polyphase_subdivision(banks[j].lowpass, coarse.xi_total, coarse.as_seq())
     return max_abs_diff(fine.as_seq(), rhs)
 
 

@@ -218,6 +218,26 @@ class TestCliTransform:
                      "-o", str(tmp_path / "r.grid"),
                      "--check", signal_file]) == 0
 
+    def test_check_exit_codes(self, config_file, signal_file, tmp_path, capsys):
+        tree = str(tmp_path / "chain")
+        out = str(tmp_path / "r.grid")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree, "--path", "1,0"]) == 0
+        assert main(["transform", "reconstruct", tree, "-o", out,
+                     "--check", signal_file]) == 0
+        assert "(ok," in capsys.readouterr().out
+        # a hand-edited detail grid still reconstructs, but fails the check
+        manifest = json.load(open(os.path.join(tree, "manifest.json")))
+        node = next(n for n in manifest["nodes"] if n["details"])
+        path = os.path.join(tree, next(iter(node["details"].values())))
+        detail = formats.read_grid(path)
+        data = detail.data.copy()
+        data.flat[data.size // 2] += 1.0
+        formats.write_grid(path, CoefSeq(detail.origin, data))
+        assert main(["transform", "reconstruct", tree, "-o", out,
+                     "--check", signal_file]) == 2
+        assert "EXCEEDS tolerance" in capsys.readouterr().out
+
     def test_pgm_signal(self, config_file, tmp_path):
         rng = np.random.RandomState(4)
         img = str(tmp_path / "img.pgm")

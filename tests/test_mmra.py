@@ -157,6 +157,29 @@ class TestTree:
         with pytest.raises(InconsistentTreeError):
             aw.reconstruct(config, tree)
 
+    def test_nan_in_one_branch_rejected(self, config):
+        # NaN compares False against the agreement tolerance; it must not
+        # let branch 0 through as if the branches agreed
+        sig = CoefSeq((0, 0), np.random.RandomState(8).randn(60, 60))
+        tree = aw.decompose(config, sig)
+        node = tree.nodes[(1,)]
+        eta = next(iter(node.details))
+        data = node.details[eta].data.copy()
+        data.flat[data.size // 2] = np.nan
+        node.details[eta] = CoefSeq(node.details[eta].origin, data)
+        with pytest.raises(InconsistentTreeError):
+            aw.reconstruct(config, tree)
+
+    def test_non_finite_leaf_rejected_in_path_mode(self, sets):
+        cfg = aw.build_config(3, 2, 2, None, sets, path=(1, 0))
+        tree = aw.decompose(cfg, CoefSeq((0, 0), np.random.RandomState(9).randn(60, 60)))
+        leaf = tree.nodes[(1, 0)]
+        data = leaf.approx.data.copy()
+        data.flat[0] = np.inf
+        leaf.approx = CoefSeq(leaf.approx.origin, data)
+        with pytest.raises(InconsistentTreeError):
+            aw.reconstruct(cfg, tree)
+
     def test_missing_node(self, config):
         sig = CoefSeq((0, 0), np.random.RandomState(6).randn(60, 60))
         tree = aw.decompose(config, sig)
