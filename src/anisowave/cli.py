@@ -46,7 +46,7 @@ from .lattice import (
     smith_with_target,
     xi_product,
 )
-from .seqcore import CoefSeq, Window
+from .seqcore import CoefSeq, Window, max_abs_diff
 from .subdivision import wavelet_samples
 
 
@@ -136,11 +136,10 @@ def cmd_bank_verify(args) -> int:
     for eta in indices:
         print("   " + "  ".join(f"{residuals[(eta, eta2)]:9.2e}"
                                 for eta2 in indices))
-    print("moment orders: " + ", ".join(
-        f"{eta}:{moment_order_nd(bank.filters[eta])}" for eta in indices))
+    orders = {eta: moment_order_nd(bank.filters[eta]) for eta in indices}
+    print("moment orders: " + ", ".join(f"{eta}:{orders[eta]}" for eta in indices))
 
-    degree = 0 if min(moment_order_nd(bank.filters[e])
-                      for e in bank.highpass_indices()) < 2 else 1
+    degree = 0 if min(orders[e] for e in bank.highpass_indices()) < 2 else 1
     n = args.window
     report = reproduction_check(bank, degree, Window((0,) * bank.dim,
                                                      (n - 1,) * bank.dim))
@@ -283,8 +282,6 @@ def cmd_transform_reconstruct(args) -> int:
     print(f"reconstructed signal -> {args.out}")
     if args.check:
         original = _load_signal(args.check)
-        from .seqcore import max_abs_diff
-
         err = max_abs_diff(out, original)
         scale = max(1.0, original.linf())
         ok = err <= args.tol_pr * scale

@@ -167,7 +167,6 @@ class AnisoFilterBank:
     fact: SmithFactorization
     sigma: tuple[int, ...]
     filters: Mapping[tuple[int, ...], CoefSeq] = field(repr=False)
-    moment_orders: Mapping[tuple[int, ...], int] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -240,13 +239,10 @@ def build_bank(xi: IntMatrix, target_sigma: Sequence[int],
     identity = theta1_inv == IntMatrix.identity(xi.dim)
 
     filters: dict[tuple[int, ...], CoefSeq] = {}
-    orders: dict[tuple[int, ...], int] = {}
     for eta in itertools.product(*[range(s_j) for s_j in sigma]):
         g_eta = tensor([sets[j].filters[eta[j]] for j in range(len(sigma))])
-        b_eta = g_eta if identity else reindex(g_eta, theta1_inv)
-        filters[eta] = b_eta
-        orders[eta] = 0 if not any(eta) else moment_order_nd(b_eta)
-    return AnisoFilterBank(xi, fact, sigma, filters, orders)
+        filters[eta] = g_eta if identity else reindex(g_eta, theta1_inv)
+    return AnisoFilterBank(xi, fact, sigma, filters)
 
 
 @dataclass(frozen=True)
@@ -271,9 +267,6 @@ class ReproductionReport:
     @property
     def max_fit_residual(self) -> float:
         return max(r.fit_residual for r in self.rows)
-
-    def passed(self, tol: float = MOMENT_TOL) -> bool:
-        return self.max_detail <= tol
 
 
 def analysis_core(window: Window, xi: IntMatrix, support: Window) -> list[tuple[int, ...]]:

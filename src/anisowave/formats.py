@@ -19,11 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .dictionary import (
-    AnisoFilterBank,
-    UnivariateQMFSet,
-    moment_order_nd,
-)
+from .dictionary import AnisoFilterBank, UnivariateQMFSet
 from .lattice import IntMatrix, RatMatrix, SmithFactorization
 from .seqcore import CoefSeq, Window
 from .subdivision import SampledFunction
@@ -132,26 +128,47 @@ def grid_to_bytes(c: CoefSeq) -> bytes:
 
 
 def grid_from_bytes(blob: bytes) -> CoefSeq:
+    """Parse a grid container: the payload must fill the shape exactly and be finite."""
     if blob[:4] != GRID_MAGIC:
         raise ValueError("not a grid file (bad magic)")
+    if len(blob) < 8:
+        raise ValueError("grid header is cut short")
     (dim,) = struct.unpack_from("<I", blob, 4)
-    off = 8
-    origin = struct.unpack_from(f"<{dim}q", blob, off)
-    off += 8 * dim
-    shape = struct.unpack_from(f"<{dim}Q", blob, off)
-    off += 8 * dim
-    count = int(np.prod(shape))
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-    return CoefSeq(origin, data.reshape(shape).copy())
+    off = 8 + 16 * dim
+    if dim == 0:
+        raise ValueError("grid has dimension 0")
+    if len(blob) < off:
+        raise ValueError("grid header is cut short")
+    origin = struct.unpack_from(f"<{dim}q", blob, 8)
+    shape = struct.unpack_from(f"<{dim}Q", blob, 8 + 8 * dim)
+    count = math.prod(shape)
+    if not count:
+        raise ValueError(f"grid shape {shape} has an empty axis")
+    if len(blob) != off + 8 * count:
+        raise ValueError(f"grid payload has {len(blob) - off} bytes, "
+                         f"shape {shape} needs {8 * count}")
+    data = np.frombuffer(blob, dtype="<f8", offset=off).reshape(shape)
+    if not np.isfinite(data).all():
+        raise ValueError("grid payload holds non-finite values")
+    return CoefSeq(origin, data.copy())
 
 
 def write_grid(path: str, c: CoefSeq):
     atomic_write_bytes(path, grid_to_bytes(c))
 
 
-def read_grid(path: str) -> CoefSeq:
+def _parse_file(path: str, parse):
+    """parse(bytes of the file); a ValueError names the file."""
     with open(path, "rb") as handle:
-        return grid_from_bytes(handle.read())
+        blob = handle.read()
+    try:
+        return parse(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_grid(path: str) -> CoefSeq:
+    return _parse_file(path, grid_from_bytes)
 
 
 # -- sampled limit functions -------------------------------------------------
@@ -220,9 +237,7 @@ def bank_from_json(obj: dict) -> AnisoFilterBank:
         raise ValueError("bank factorization does not reproduce its dilation")
     filters = {_eta_from_key(k): coefseq_from_json(v)
                for k, v in obj["filters"].items()}
-    orders = {eta: (0 if not any(eta) else moment_order_nd(f))
-              for eta, f in filters.items()}
-    return AnisoFilterBank(xi, fact, sigma, filters, orders)
+    return AnisoFilterBank(xi, fact, sigma, filters)
 
 
 def write_bank(path: str, bank: AnisoFilterBank):
@@ -238,14 +253,17 @@ def read_bank(path: str) -> AnisoFilterBank:
 
 def read_pgm(path: str) -> np.ndarray:
     """Read an 8- or 16-bit PGM (binary P5 or ascii P2) as floats in [0, 1]."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
+    return _parse_file(path, _pgm_from_bytes)
 
+
+def _pgm_from_bytes(blob: bytes) -> np.ndarray:
     tokens = []
     pos = 0
     while len(tokens) < 4:
         while pos < len(blob) and blob[pos:pos + 1].isspace():
             pos += 1
+        if pos == len(blob):
+            raise ValueError("PGM header is cut short")
         if blob[pos:pos + 1] == b"#":
             while pos < len(blob) and blob[pos:pos + 1] != b"\n":
                 pos += 1
@@ -254,16 +272,30 @@ def read_pgm(path: str) -> np.ndarray:
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
         tokens.append(blob[start:pos])
-    magic, width, height, maxval = (tokens[0], int(tokens[1]), int(tokens[2]),
-                                    int(tokens[3]))
+    magic = tokens[0]
+    if magic not in (b"P5", b"P2"):
+        raise ValueError(f"unsupported PGM magic {magic!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ValueError(f"PGM header fields {tokens[1:]} are not all integers")
+    width, height, maxval = (int(t) for t in tokens[1:])
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ValueError(f"PGM header needs positive sizes and 1 <= maxval <= 65535, "
+                         f"got {width}x{height} with maxval {maxval}")
+    count = width * height
     if magic == b"P5":
         pos += 1  # single whitespace after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        data = np.frombuffer(blob, dtype=dtype, count=width * height, offset=pos)
-    elif magic == b"P2":
-        data = np.array(blob[pos:].split()[: width * height], dtype=np.float64)
+        if len(blob) - pos < count * dtype.itemsize:
+            raise ValueError(f"PGM payload is cut short: {width}x{height} samples "
+                             f"need {count * dtype.itemsize} bytes")
+        data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     else:
-        raise ValueError(f"unsupported PGM magic {magic!r}")
+        words = blob[pos:].split()[:count]
+        if len(words) < count or not all(w.isdigit() for w in words):
+            raise ValueError(f"PGM payload needs {count} integer samples")
+        data = np.array([int(w) for w in words])
+    if data.max() > maxval:
+        raise ValueError(f"PGM sample {int(data.max())} exceeds maxval {maxval}")
     return (data.astype(np.float64) / maxval).reshape(height, width)
 
 

@@ -27,7 +27,6 @@ from .dictionary import (
 )
 from .errors import (
     BadDigitError,
-    BadScalesError,
     DepthZeroError,
     DimMismatchError,
     IncompleteTreeError,
@@ -36,8 +35,15 @@ from .errors import (
     OutOfSimplexError,
     WindowTooSmallError,
 )
-from .lattice import DilationFamily, contractivity_bound_power, dilation_family
-from .seqcore import CoefSeq, Window, max_abs_diff, polyphase_analysis, seq_add
+from .lattice import DilationFamily, dilation_family
+from .seqcore import (
+    CoefSeq,
+    Window,
+    _preimage_box,
+    max_abs_diff,
+    polyphase_analysis,
+    seq_add,
+)
 from .subdivision import SubdivisionOp, subdivide
 
 BRANCH_AGREEMENT_TOL = 1e-8
@@ -88,10 +94,6 @@ class MMRAConfig:
         for j, bank in enumerate(self.banks):
             if bank.xi != self.family.matrices[j]:
                 raise BadDigitError(f"bank {j} dilation differs from family member")
-        if not any(contractivity_bound_power(self.family.sigma1,
-                                             self.family.sigma2, n) < 1
-                   for n in range(1, 9)):
-            raise BadScalesError("family is not jointly contractive")
 
     @property
     def m(self) -> int:
@@ -174,8 +176,6 @@ def _approx_box(box: Window, bank: AnisoFilterBank) -> Window | None:
     fw = bank.lowpass.window
     corr = Window(tuple(l - h for l, h in zip(box.lo, fw.hi)),
                   tuple(h - l for h, l in zip(box.hi, fw.lo)))
-    from .seqcore import _preimage_box
-
     pre = _preimage_box(bank.xi, corr)
     return None if pre is None else Window(*pre)
 
@@ -193,24 +193,12 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
             return None
         return _approx_box(box, bank)
 
-    if branch is not None:
-        box = window
-        for j in branch:
-            nxt = step(box, j)
-            if nxt is None:
-                return False
-            box = nxt
-        return True
     boxes = [window]
-    for _ in range(levels):
-        nxt_boxes = []
-        for box in boxes:
-            for j in range(config.m):
-                nxt = step(box, j)
-                if nxt is None:
-                    return False
-                nxt_boxes.append(nxt)
-        boxes = nxt_boxes
+    for level in range(levels):
+        digits = range(config.m) if branch is None else (branch[level],)
+        boxes = [step(box, j) for box in boxes for j in digits]
+        if None in boxes:
+            return False
     return True
 
 
@@ -263,8 +251,13 @@ def reconstruct(config: MMRAConfig, tree: DecompositionTree) -> CoefSeq:
     approximation; the branches are compared and any disagreement
     beyond tolerance raises ``InconsistentTreeError`` instead of being
     averaged away.  A tree holding non-finite values raises the same
-    error, since no comparison can vouch for it.
+    error, since no comparison can vouch for it, and so does a tree
+    decomposed under another config (its recorded digest differs).
     """
+    if tree.config_digest != config.digest():
+        raise InconsistentTreeError(
+            f"tree was decomposed under config {tree.config_digest}, "
+            f"not {config.digest()}")
     zero = (0,) * config.banks[0].dim
     for key, node in tree.nodes.items():
         arrays = list(node.details.values())

@@ -6,15 +6,19 @@ operations here (convolution, correlation, lattice up/downsampling,
 unimodular reindexing, tensor products) are the raw material for masks,
 filters and signals alike.
 
-The multirate steps run polyphase over the cosets of the dilation xi.
-A tap beta = xi nu + rho of a filter belongs to the phase f_rho of the
-coset rho + xi Z^s; in a dense array the points xi gamma + beta form a
-strided view, so analysis (``polyphase_analysis``: correlate, then keep
-the lags on xi Z^s) reads one such view per tap, and subdivision
-(``polyphase_subdivision``: spread onto xi Z^s, then convolve) adds into
-one per tap.  Every multiply-add pairs a nonzero tap with a sample on
-the coarse lattice: nothing is computed and then thrown away, and no
-upsampled grid of zeros is built.
+Every lattice operation runs through one polyphase kernel with two
+directions.  A tap beta = xi nu + rho of a filter belongs to the phase
+f_rho of the coset rho + xi Z^s; in a dense array the points
+xi gamma + beta form a strided view, so analysis (``polyphase_analysis``:
+correlate, then keep the lags on xi Z^s) reads one such view per tap,
+and subdivision (``polyphase_subdivision``: spread onto xi Z^s, then
+convolve) adds into one per tap.  Every multiply-add pairs a nonzero tap
+with a sample on the coarse lattice: nothing is computed and then thrown
+away, and no upsampled grid of zeros is built.  The public operations
+are special cases: ``convolve`` is subdivision with xi = I, ``upsample``
+is subdivision with the pulse as mask, and ``downsample`` and
+``reindex`` are analysis with the pulse as the only filter.  Only numpy
+is needed.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.signal import convolve as _nd_convolve
 
 from .errors import DimMismatchError, NotUnimodularError, SingularMatrixError
 from .lattice import IntMatrix, determinant, is_unimodular, rational_inverse
@@ -154,11 +157,9 @@ def _check_dims(a: CoefSeq, b: CoefSeq):
 
 
 def convolve(a: CoefSeq, b: CoefSeq) -> CoefSeq:
-    """(a*b)(gamma) = sum_alpha a(alpha) b(gamma - alpha)."""
+    """(a*b)(gamma) = sum_alpha a(alpha) b(gamma - alpha): subdivision with xi = I."""
     _check_dims(a, b)
-    data = _nd_convolve(a.data, b.data, mode="full", method="direct")
-    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
-    return CoefSeq(origin, data)
+    return polyphase_subdivision(a, IntMatrix.identity(a.dim), b)
 
 
 def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
@@ -223,39 +224,23 @@ def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
     return view, offsets - first
 
 
-def _gather(c: CoefSeq, m: IntMatrix) -> CoefSeq:
-    """result(alpha) = c(m alpha) on the bounding box of m^-1(support)."""
-    box = _preimage_box(m, c.window)
-    if box is None:
-        return CoefSeq((0,) * c.dim, np.zeros((1,) * c.dim))
-    lo, hi = box
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    src_lo, src_hi = _image_box(m, Window(lo, hi))
-    view, rows = _shifted_views(embed(c, src_lo, src_hi), src_lo, m, lo, shape,
-                                np.zeros(c.dim))
-    return CoefSeq(lo, view[rows[0]]).trimmed()
+def _check_dilation(c: CoefSeq, xi: IntMatrix):
+    if xi.dim != c.dim:
+        raise DimMismatchError(f"matrix dim {xi.dim} != sequence dim {c.dim}")
+    if determinant(xi) == 0:
+        raise SingularMatrixError("dilation matrix is singular")
 
 
 def downsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
     """Keep the sublattice samples: result(alpha) = c(xi alpha)."""
-    if xi.dim != c.dim:
-        raise DimMismatchError(f"matrix dim {xi.dim} != sequence dim {c.dim}")
-    if determinant(xi) == 0:
-        raise SingularMatrixError("dilation matrix is singular")
-    return _gather(c, xi)
+    _check_dilation(c, xi)
+    return polyphase_analysis(c, xi, [_pulse_taps(c.dim)])[0]
 
 
 def upsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
     """Spread onto the sublattice: result(xi alpha) = c(alpha), zero off it."""
-    if xi.dim != c.dim:
-        raise DimMismatchError(f"matrix dim {xi.dim} != sequence dim {c.dim}")
-    if determinant(xi) == 0:
-        raise SingularMatrixError("dilation matrix is singular")
-    lo, hi = _image_box(xi, c.window)
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    view, rows = _shifted_views(out, lo, xi, c.origin, c.shape, np.zeros(c.dim))
-    view[rows[0]] = c.data
-    return CoefSeq(lo, out)
+    _check_dilation(c, xi)
+    return polyphase_subdivision(c, xi, delta(c.dim))
 
 
 def reindex(c: CoefSeq, theta: IntMatrix) -> CoefSeq:
@@ -264,7 +249,7 @@ def reindex(c: CoefSeq, theta: IntMatrix) -> CoefSeq:
         raise DimMismatchError(f"matrix dim {theta.dim} != sequence dim {c.dim}")
     if not is_unimodular(theta):
         raise NotUnimodularError("reindexing requires a unimodular matrix")
-    return _gather(c, theta)
+    return polyphase_analysis(c, theta, [_pulse_taps(c.dim)])[0]
 
 
 def tensor(factors: Sequence[CoefSeq]) -> CoefSeq:
@@ -308,22 +293,27 @@ class Taps:
         return len(self.weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _pulse_taps(s: int) -> Taps:
+    """Taps of delta(s): the one filter of ``downsample`` and ``reindex``."""
+    return Taps(delta(s))
+
+
 def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
                        filters: Sequence[Taps]) -> list[CoefSeq]:
-    """downsample(correlate(c, f), xi) for every filter f, computed polyphase.
+    """The correlation of c with each filter f, kept on the lags xi Z^s.
 
     Component(gamma) = sum_beta f(beta) c(xi gamma + beta)
-    = sum_rho correlate(c_rho, f_rho)(gamma): each tap beta = xi nu + rho
-    reads the phase c_rho(mu) = c(xi mu + rho), shifted by nu, as a
-    strided view of c.  The lags run over one box holding every lag of
-    every filter, and each result is trimmed as the direct path trims
-    it, so it lands on the same box.
+    = sum_rho (c_rho x f_rho)(gamma): each tap beta = xi nu + rho reads
+    the phase c_rho(mu) = c(xi mu + rho), shifted by nu, as a strided
+    view of c.  The lags run over one box holding every lag of every
+    filter, and each result is trimmed to its nonzero support.
     """
-    s = c.dim
+    s, cw = c.dim, c.window
     hull_lo = tuple(min(f.window.lo[i] for f in filters) for i in range(s))
     hull_hi = tuple(max(f.window.hi[i] for f in filters) for i in range(s))
-    box = _preimage_box(xi, Window(tuple(a - b for a, b in zip(c.window.lo, hull_hi)),
-                                   tuple(a - b for a, b in zip(c.window.hi, hull_lo))))
+    box = _preimage_box(xi, Window(tuple(a - b for a, b in zip(cw.lo, hull_hi)),
+                                   tuple(a - b for a, b in zip(cw.hi, hull_lo))))
     if box is None:
         return [CoefSeq((0,) * s, np.zeros((1,) * s)) for _ in filters]
     lo, hi = box
@@ -347,8 +337,9 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
 
 def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq,
                           taps: Taps | None = None) -> CoefSeq:
-    """convolve(mask, upsample(c, xi)), computed polyphase.
+    """c spread onto xi Z^s and convolved with the mask, computed polyphase.
 
+    out(beta) = sum_alpha mask(beta - xi alpha) c(alpha), so
     out(xi gamma + rho) = (m_rho * c)(gamma): each mask tap
     beta = xi nu + rho adds beta's weight times c into the strided view
     of the output at xi alpha + beta, which lies in coset rho.  The
@@ -356,7 +347,7 @@ def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq,
     than the mask (a few samples spread by a large dilation), each
     nonzero c(alpha) adds a scaled copy of the mask at xi alpha
     instead.  The output box is the image box of c's window widened by
-    the mask window, as for the direct composition.  taps is
+    the mask window, untrimmed.  taps is
     ``Taps(mask)`` if the caller holds it; otherwise the mask is split
     here when its taps are needed.
     """
@@ -394,12 +385,8 @@ def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:
 def cross_qmf_residual(b: CoefSeq, b2: CoefSeq, xi: IntMatrix, same: bool) -> float:
     """Deviation of a filter pair from |det xi| . delta_{same} . delta."""
     _check_dims(b, b2)
-    if xi.dim != b.dim:
-        raise DimMismatchError(f"matrix dim {xi.dim} != sequence dim {b.dim}")
-    d = determinant(xi)
-    if d == 0:
-        raise SingularMatrixError("dilation matrix is singular")
-    return _qmf_gap(polyphase_analysis(b, xi, [Taps(b2)])[0], abs(d), same)
+    _check_dilation(b, xi)
+    return _qmf_gap(polyphase_analysis(b, xi, [Taps(b2)])[0], abs(determinant(xi)), same)
 
 
 def _qmf_gap(lagged: CoefSeq, det: int, same: bool) -> float:

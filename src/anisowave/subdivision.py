@@ -23,13 +23,13 @@ from .errors import (
     DimMismatchError,
     GridMismatchError,
     GridTooLargeError,
-    SingularMatrixError,
 )
 from .lattice import IntMatrix, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
     Taps,
     Window,
+    _check_dilation,
     _image_box,
     delta,
     downsample,
@@ -61,11 +61,7 @@ class SubdivisionOp:
     taps: Taps | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.xi.dim != self.mask.dim:
-            raise DimMismatchError(
-                f"matrix dim {self.xi.dim} != mask dim {self.mask.dim}")
-        if determinant(self.xi) == 0:
-            raise SingularMatrixError("dilation matrix is singular")
+        _check_dilation(self.mask, self.xi)
 
     @classmethod
     def from_bank(cls, bank: AnisoFilterBank,
@@ -177,7 +173,6 @@ def convergence_diagnostic(op: SubdivisionOp, r_max: int,
 
 
 def conjugation_check(bank: AnisoFilterBank, r: int,
-                      window: Window | None = None,
                       cell_cap: int | None = None) -> float:
     """Agreement of the bank's scheme with its conjugated diagonal scheme.
 
@@ -185,8 +180,8 @@ def conjugation_check(bank: AnisoFilterBank, r: int,
     the same iteration run with the tensor mask under the dilation
     diag(sigma) . theta2 . theta1, mapped back through theta1.  The two
     sides agree exactly in exact arithmetic, so the return value is
-    floating-point noise for a correctly built bank.  With a window the
-    comparison is restricted to it; by default it covers both supports.
+    floating-point noise for a correctly built bank.  The comparison
+    covers both supports.
     """
     if r < 0:
         raise ValueError("level must be >= 0")
@@ -205,10 +200,7 @@ def conjugation_check(bank: AnisoFilterBank, r: int,
     conj_op = SubdivisionOp(sigma_lam, h)
     for _ in range(r):
         rhs = _guarded_subdivide(conj_op, rhs, cap)
-    rhs = reindex(rhs, theta1_inv)
-    if window is None:
-        return max_abs_diff(lhs, rhs)
-    return max(abs(lhs.value(p) - rhs.value(p)) for p in window.points())
+    return max_abs_diff(lhs, reindex(rhs, theta1_inv))
 
 
 def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,34 @@ class TestGridFormat:
         with pytest.raises(ValueError):
             formats.read_grid(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        data = np.ones((3, 4))
+        data[1, 2] = bad
+        path = str(tmp_path / "poisoned.grid")
+        formats.write_grid(path, CoefSeq((0, 0), data))
+        with pytest.raises(ValueError, match="poisoned.grid.*non-finite"):
+            formats.read_grid(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = str(tmp_path / "long.grid")
+        blob = formats.grid_to_bytes(CoefSeq((0, 0), np.ones((3, 4))))
+        with open(path, "wb") as fh:
+            fh.write(blob + b"\0" * 8)
+        with pytest.raises(ValueError, match="long.grid.*payload"):
+            formats.read_grid(path)
+
+    @pytest.mark.parametrize("keep", [6, 20, 40, -8])
+    def test_rejects_cut_file(self, tmp_path, keep):
+        # inside the dimension field, inside the header, at the payload start
+        # and one sample short of the end
+        path = str(tmp_path / "cut.grid")
+        blob = formats.grid_to_bytes(CoefSeq((0, 0), np.ones((3, 4))))
+        with open(path, "wb") as fh:
+            fh.write(blob[:keep])
+        with pytest.raises(ValueError, match="cut.grid"):
+            formats.read_grid(path)
+
     def test_sampled_roundtrip(self, tmp_path, bank0):
         sf = aw.cascade(aw.SubdivisionOp(bank0.xi, bank0.lowpass), 3)
         base = str(tmp_path / "phi")
@@ -95,6 +125,25 @@ class TestPgm:
         img = formats.read_pgm(path)
         assert img.shape == (2, 2)
         assert img[0, 1] == pytest.approx(128 / 255)
+
+    @pytest.mark.parametrize("blob", [
+        b"P5\n2 2\n0\n\0\0\0\0",
+        b"P5\n2 2\n70000\n" + b"\0" * 8,
+        b"P5\n0 2\n255\n",
+        b"P5\n2 2\n255\n\0\0\0",
+        b"P5\n2 2\n65535\n" + b"\0" * 7,
+        b"P5\n2 2",
+        b"P5\n2 x\n255\n\0\0\0\0",
+        b"P2\n2 2\n255\n0 128 255",
+        b"P2\n2 2\n255\n0 128 255 300",
+    ], ids=["maxval-0", "maxval-17-bit", "empty-axis", "short-payload", "cut-sample",
+            "cut-header", "non-integer-field", "short-ascii-payload", "above-maxval"])
+    def test_rejects_malformed(self, tmp_path, blob):
+        path = str(tmp_path / "bad.pgm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError, match="bad.pgm"):
+            formats.read_pgm(path)
 
 
 class TestCliSmith:
@@ -237,6 +286,63 @@ class TestCliTransform:
         assert main(["transform", "reconstruct", tree, "-o", out,
                      "--check", signal_file]) == 2
         assert "EXCEEDS tolerance" in capsys.readouterr().out
+
+    def test_edited_manifest_families_exit_2(self, config_file, signal_file, tmp_path,
+                                             capsys):
+        tree = str(tmp_path / "tree")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree]) == 0
+        path = os.path.join(tree, "manifest.json")
+        manifest = json.load(open(path))
+        manifest["config"]["families"] = ["cl3", "haar"]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert main(["transform", "reconstruct", tree,
+                     "-o", str(tmp_path / "r.grid")]) == 2
+        assert "config" in capsys.readouterr().err
+
+    def test_malformed_signal_exit_1(self, config_file, tmp_path, capsys):
+        signal = str(tmp_path / "nan.grid")
+        formats.write_grid(signal, CoefSeq((0, 0), np.full((60, 60), np.nan)))
+        assert main(["transform", "decompose", config_file, signal,
+                     "-o", str(tmp_path / "tree")]) == 1
+        assert "nan.grid" in capsys.readouterr().err
+
+    def test_cut_tree_grid_exit_1(self, config_file, signal_file, tmp_path, capsys):
+        tree = str(tmp_path / "tree")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree, "--path", "0,1"]) == 0
+        manifest = json.load(open(os.path.join(tree, "manifest.json")))
+        leaf = next(n for n in manifest["nodes"] if n["approx"])
+        path = os.path.join(tree, leaf["approx"])
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-8])
+        assert main(["transform", "reconstruct", tree,
+                     "-o", str(tmp_path / "r.grid")]) == 1
+        assert leaf["approx"] in capsys.readouterr().err
+
+    def test_roundtrip_without_scipy(self, config_file, signal_file, tmp_path):
+        # the library needs only numpy: block scipy, then import and run the CLI
+        script = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "import anisowave",
+            "from anisowave.cli import main",
+            "config, signal, tree, out = sys.argv[1:]",
+            "assert main(['transform', 'decompose', config, signal, '-o', tree]) == 0",
+            "sys.exit(main(['transform', 'reconstruct', tree, '-o', out,",
+            "                '--check', signal]))",
+        ])
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config_file, signal_file,
+             str(tmp_path / "tree"), str(tmp_path / "r.grid")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "(ok," in proc.stdout
 
     def test_pgm_signal(self, config_file, tmp_path):
         rng = np.random.RandomState(4)

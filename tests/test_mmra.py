@@ -180,6 +180,17 @@ class TestTree:
         with pytest.raises(InconsistentTreeError):
             aw.reconstruct(cfg, tree)
 
+    def test_tree_from_another_config_rejected(self, config):
+        # cl3,db2 and cl3,haar share the family and its matrices, so only
+        # the recorded digest tells the two trees apart
+        other = aw.build_config(3, 2, 2, None, (aw.chui_lian_ternary(), aw.haar()),
+                                depth=2)
+        sig = CoefSeq((0, 0), np.random.RandomState(12).randn(60, 60))
+        tree = aw.decompose(config, sig)
+        with pytest.raises(InconsistentTreeError, match="config"):
+            aw.reconstruct(other, tree)
+        assert max_abs_diff(aw.reconstruct(config, tree), sig) <= 1e-9 * sig.linf()
+
     def test_missing_node(self, config):
         sig = CoefSeq((0, 0), np.random.RandomState(6).randn(60, 60))
         tree = aw.decompose(config, sig)

@@ -4,7 +4,9 @@ The oracle below is the direct path the library used before the
 polyphase kernel: a full correlation followed by downsampling for
 analysis, and a convolution of the upsampled grid for subdivision,
 with the lattice resampling done by index arrays over boxes computed
-in exact rationals.  Property tests compare the kernel with it over
+in exact rationals.  Its convolutions are scipy's direct N-D
+convolution, called here, since the library's own ``convolve`` is the
+kernel under test.  Property tests compare the kernel with it over
 random expansive dilations in two and three dimensions.  The boundary
 cores that verification uses are checked against point loops the same
 way.
@@ -17,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.signal import convolve as scipy_convolve
+from scipy.signal import correlate as scipy_correlate
 
 import anisowave as aw
 from anisowave.dictionary import _subdivision_core, analysis_core
@@ -26,6 +30,17 @@ from anisowave.seqcore import CoefSeq, Taps, Window, max_abs_diff, polyphase_ana
 from anisowave.subdivision import SubdivisionOp
 
 # -- the direct oracle -------------------------------------------------------
+
+def direct_convolve(a, b):
+    data = scipy_convolve(a.data, b.data, mode="full", method="direct")
+    return CoefSeq(tuple(x + y for x, y in zip(a.origin, b.origin)), data)
+
+
+def direct_correlate(a, b):
+    """sum_alpha a(alpha) b(alpha - gamma); the full box starts at a.lo - b.hi."""
+    data = scipy_correlate(a.data, b.data, mode="full", method="direct")
+    return CoefSeq(tuple(x - y for x, y in zip(a.origin, b.window.hi)), data)
+
 
 def oracle_gather(c, m):
     """result(alpha) = c(m alpha) on the box of m^-1(support), then trimmed."""
@@ -55,11 +70,11 @@ def oracle_upsample(c, m):
 
 
 def oracle_analysis(c, f, xi):
-    return oracle_gather(aw.convolve(c, f.reversed()), xi)
+    return oracle_gather(direct_convolve(c, f.reversed()), xi)
 
 
 def oracle_subdivision(c, mask, xi):
-    return aw.convolve(mask, oracle_upsample(c, xi))
+    return direct_convolve(mask, oracle_upsample(c, xi))
 
 
 def oracle_cross_qmf(b, b2, xi, same):
@@ -205,6 +220,24 @@ def test_cross_qmf_residual_matches_oracle(case, same):
     got = aw.cross_qmf_residual(b, b2, xi, same)
     expect = oracle_cross_qmf(b, b2, xi, same)
     assert abs(got - expect) <= 1e-13 * (scale_of(b, b2) + abs(determinant(xi)))
+
+
+@st.composite
+def operand_pairs(draw):
+    s = draw(st.sampled_from([2, 3]))
+    side = 6 if s == 2 else 4
+    return tuple(draw(sequences(s, side, sparse=draw(st.booleans()))) for _ in range(2))
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_convolve_and_correlate_match_direct(pair):
+    # both operand orders: the kernel loops over the operand with fewer
+    # nonzeros, so unequal counts run both of its loop orientations
+    a, b = pair
+    for x, y in (a, b), (b, a):
+        assert_same(aw.convolve(x, y), direct_convolve(x, y), scale_of(x, y))
+        assert_same(aw.correlate(x, y), direct_correlate(x, y), scale_of(x, y))
 
 
 @PROPERTY
