@@ -213,11 +213,9 @@ def _node_key(path: tuple[int, ...]) -> str:
 
 
 def cmd_transform_decompose(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        config_obj = json.load(handle)
-    depth = args.depth
     path = _parse_ints(args.path) if args.path else None
-    config = _config_from_json(config_obj, depth, path)
+    config_obj, config = formats.read_json(
+        args.config, lambda obj: (obj, _config_from_json(obj, args.depth, path)))
     signal = _load_signal(args.signal)
     tree = mmra.decompose(config, signal)
 
@@ -256,27 +254,23 @@ def cmd_transform_decompose(args) -> int:
 
 
 def cmd_transform_reconstruct(args) -> int:
-    with open(os.path.join(args.tree, "manifest.json"), "r",
-              encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    config = _config_from_json(
-        manifest["config"],
-        manifest["depth"] if manifest["mode"] == "full" else None,
-        [n["path"] for n in manifest["nodes"] if n["approx"]][0]
-        if manifest["mode"] == "path" else None)
-    nodes = {}
-    for entry in manifest["nodes"]:
-        details = {tuple(int(x) for x in key.split(",")):
-                   formats.read_grid(os.path.join(args.tree, fname))
-                   for key, fname in entry["details"].items()}
-        approx = (formats.read_grid(os.path.join(args.tree, entry["approx"]))
-                  if entry["approx"] else None)
-        nodes[tuple(entry["path"])] = mmra.TreeNode(details, approx)
-    window = Window(tuple(manifest["signal_window"]["lo"]),
-                    tuple(manifest["signal_window"]["hi"]))
-    tree = mmra.DecompositionTree(manifest["mode"], manifest["depth"],
-                                  manifest["m"], nodes, window,
-                                  manifest["config_digest"])
+    def parse(manifest: dict):
+        nodes = {}
+        for entry in manifest["nodes"]:
+            details = {tuple(int(x) for x in key.split(",")):
+                       formats.read_grid(os.path.join(args.tree, fname))
+                       for key, fname in entry["details"].items()}
+            approx = (formats.read_grid(os.path.join(args.tree, entry["approx"]))
+                      if entry["approx"] else None)
+            nodes[tuple(int(d) for d in entry["path"])] = mmra.TreeNode(details, approx)
+        window = Window(tuple(manifest["signal_window"]["lo"]),
+                        tuple(manifest["signal_window"]["hi"]))
+        tree = mmra.DecompositionTree(manifest["mode"], int(manifest["depth"]),
+                                      int(manifest["m"]), nodes, window,
+                                      manifest["config_digest"])
+        return _config_from_json(manifest["config"]), tree
+
+    config, tree = formats.read_json(os.path.join(args.tree, "manifest.json"), parse)
     out = mmra.reconstruct(config, tree)
     formats.write_grid(args.out, out)
     print(f"reconstructed signal -> {args.out}")

@@ -9,7 +9,6 @@ diagonal and reindexing with the unimodular Smith factor.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +26,6 @@ from .lattice import (
 )
 from .seqcore import (
     CoefSeq,
-    Taps,
     Window,
     _image_box,
     _preimage_box,
@@ -109,12 +107,9 @@ def univariate_sets_from_names(names: Sequence[str]) -> tuple[UnivariateQMFSet, 
         if name in FAMILIES:
             sets.append(FAMILIES[name]())
         elif os.path.isfile(name):
-            import json
+            from .formats import read_json, univariate_set_from_json
 
-            from .formats import univariate_set_from_json
-
-            with open(name, "r", encoding="utf-8") as handle:
-                sets.append(univariate_set_from_json(json.load(handle)))
+            sets.append(read_json(name, univariate_set_from_json))
         else:
             raise ScaleMismatchError(
                 f"unknown filter family {name!r} (known: {sorted(FAMILIES)})")
@@ -201,18 +196,13 @@ class AnisoFilterBank:
                    for i in range(self.dim))
         return Window(lo, hi)
 
-    @functools.cached_property
-    def taps(self) -> dict[tuple[int, ...], Taps]:
-        """Each filter's nonzero taps (its polyphase components), split once."""
-        return {eta: Taps(f) for eta, f in self.filters.items()}
-
     def residual_matrix(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
         """Cross-QMF residual for every ordered pair of filters."""
         out = {}
         indices = self.indices()
         for eta in indices:
             lagged = polyphase_analysis(self.filters[eta], self.xi,
-                                        [self.taps[eta2] for eta2 in indices])
+                                        [self.filters[eta2] for eta2 in indices])
             for eta2, lag in zip(indices, lagged):
                 out[(eta, eta2)] = _qmf_gap(lag, self.det, eta == eta2)
         return out

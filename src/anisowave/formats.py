@@ -121,6 +121,9 @@ def coefseq_from_json(obj: dict) -> CoefSeq:
 # -- binary grid container ---------------------------------------------------
 
 def grid_to_bytes(c: CoefSeq) -> bytes:
+    """Pack a grid container; non-finite values, which no reader accepts, raise."""
+    if not np.isfinite(c.data).all():
+        raise ValueError("refusing to write a grid holding non-finite values")
     head = GRID_MAGIC + struct.pack("<I", c.dim)
     head += struct.pack(f"<{c.dim}q", *c.origin)
     head += struct.pack(f"<{c.dim}Q", *c.shape)
@@ -171,6 +174,21 @@ def read_grid(path: str) -> CoefSeq:
     return _parse_file(path, grid_from_bytes)
 
 
+def read_json(path: str, parse):
+    """parse(the JSON document in the file); a malformed document names the file.
+
+    A missing key, a value of the wrong type or a list too short is a
+    ``ValueError``, like a syntax error.
+    """
+    def load(blob: bytes):
+        try:
+            return parse(json.loads(blob))
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed document ({type(exc).__name__}: {exc})") from None
+    return _parse_file(path, load)
+
+
 # -- sampled limit functions -------------------------------------------------
 
 def sampled_sidecar(sf: SampledFunction, extra: dict | None = None) -> dict:
@@ -189,13 +207,14 @@ def write_sampled(base_path: str, sf: SampledFunction, extra: dict | None = None
 
 def read_sampled(base_path: str) -> SampledFunction:
     seq = read_grid(base_path + ".grid")
-    with open(base_path + ".json", "r", encoding="utf-8") as handle:
-        side = json.load(handle)
-    window = Window(tuple(side["window"]["lo"]), tuple(side["window"]["hi"]))
-    if window.lo != seq.origin or window.shape != seq.shape:
-        raise ValueError("sidecar window disagrees with grid")
-    return SampledFunction(int(side["level"]), matrix_from_json(side["xi_total"]),
-                           window, seq.data)
+
+    def parse(side: dict) -> SampledFunction:
+        window = Window(tuple(side["window"]["lo"]), tuple(side["window"]["hi"]))
+        if window.lo != seq.origin or window.shape != seq.shape:
+            raise ValueError("sidecar window disagrees with grid")
+        return SampledFunction(int(side["level"]), matrix_from_json(side["xi_total"]),
+                               window, seq.data)
+    return read_json(base_path + ".json", parse)
 
 
 # -- univariate sets and banks -----------------------------------------------
@@ -245,8 +264,7 @@ def write_bank(path: str, bank: AnisoFilterBank):
 
 
 def read_bank(path: str) -> AnisoFilterBank:
-    with open(path, "r", encoding="utf-8") as handle:
-        return bank_from_json(json.load(handle))
+    return read_json(path, bank_from_json)
 
 
 # -- PGM images ----------------------------------------------------------------
@@ -305,6 +323,8 @@ def write_pgm(path: str, values: np.ndarray, bits: int = 8) -> tuple[float, floa
         raise ValueError("PGM depth must be 8 or 16 bits")
     if values.ndim != 2:
         raise ValueError("PGM export needs a 2-D array")
+    if not np.isfinite(values).all():
+        raise ValueError("PGM export needs finite values")
     vmin = float(values.min())
     vmax = float(values.max())
     spread = vmax - vmin if vmax > vmin else 1.0

@@ -61,7 +61,7 @@ def analyze(bank: AnisoFilterBank, c: CoefSeq) -> dict[Digits, CoefSeq]:
     if c.dim != bank.dim:
         raise DimMismatchError(f"signal dim {c.dim} != bank dim {bank.dim}")
     scale = 1.0 / bank.det
-    parts = polyphase_analysis(c, bank.xi, [bank.taps[eta] for eta in bank.filters])
+    parts = polyphase_analysis(c, bank.xi, list(bank.filters.values()))
     return {eta: part.scaled(scale) for eta, part in zip(bank.filters, parts)}
 
 
@@ -180,8 +180,17 @@ def _approx_box(box: Window, bank: AnisoFilterBank) -> Window | None:
     return None if pre is None else Window(*pre)
 
 
+def _digits_below(m: int, path: Digits | None, level: int) -> Sequence[int]:
+    """Digits of the children of a node at this level.
+
+    A full tree (path None) branches into all m banks; a path tree is
+    the full tree cut down to the one digit path[level] per level.
+    """
+    return range(m) if path is None else (path[level],)
+
+
 def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
-                         branch: Sequence[int] | None) -> bool:
+                         path: Digits | None) -> bool:
     """Every analysis along the tree must keep a boundary-free lag.
 
     Tracks the actual approximation boxes level by level and requires a
@@ -195,8 +204,8 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
 
     boxes = [window]
     for level in range(levels):
-        digits = range(config.m) if branch is None else (branch[level],)
-        boxes = [step(box, j) for box in boxes for j in digits]
+        boxes = [step(box, j) for box in boxes
+                 for j in _digits_below(config.m, path, level)]
         if None in boxes:
             return False
     return True
@@ -204,44 +213,31 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
 
 def decompose(config: MMRAConfig, signal: CoefSeq) -> DecompositionTree:
     """Run the tree transform over the configured depth or digit path."""
-    window = signal.window
-    if config.path is not None:
-        path = config.path
+    window, path = signal.window, config.path
+    if path is not None:
         if any(not 0 <= d < config.m for d in path):
             raise BadDigitError(f"path {path} has digits outside range(0, {config.m})")
-        if path and not _core_chain_nonempty(config, window, len(path), path):
-            raise WindowTooSmallError("signal too small for the requested path")
-        nodes: dict[Digits, TreeNode] = {(): TreeNode({}, None)}
-        approx = signal
-        for k, j in enumerate(path):
-            parts = analyze(config.banks[j], approx)
-            approx = parts.pop((0,) * config.banks[j].dim)
-            nodes[tuple(path[:k + 1])] = TreeNode(parts, None)
-        nodes[tuple(path)].approx = approx
-        return DecompositionTree("path", len(path), config.m, nodes, window,
-                                 config.digest())
-
-    depth = config.depth
-    if depth is None or depth < 1:
-        raise DepthZeroError("full-tree decomposition needs depth >= 1")
-    if not _core_chain_nonempty(config, window, depth, None):
-        raise WindowTooSmallError(f"signal too small for depth {depth}")
+        mode, depth = "path", len(path)
+    else:
+        mode, depth = "full", config.depth
+        if depth is None or depth < 1:
+            raise DepthZeroError("full-tree decomposition needs depth >= 1")
+    if not _core_chain_nonempty(config, window, depth, path):
+        raise WindowTooSmallError(f"signal too small for {mode} depth {depth}")
     nodes = {(): TreeNode({}, None)}
 
-    def grow(path: Digits, approx: CoefSeq):
-        if len(path) == depth:
-            nodes[path].approx = approx
+    def grow(node: Digits, approx: CoefSeq):
+        if len(node) == depth:
+            nodes[node].approx = approx
             return
-        for j in range(config.m):
+        for j in _digits_below(config.m, path, len(node)):
             parts = analyze(config.banks[j], approx)
             child_approx = parts.pop((0,) * config.banks[j].dim)
-            child = path + (j,)
-            nodes[child] = TreeNode(parts, None)
-            grow(child, child_approx)
+            nodes[node + (j,)] = TreeNode(parts, None)
+            grow(node + (j,), child_approx)
 
     grow((), signal)
-    return DecompositionTree("full", depth, config.m, nodes, window,
-                             config.digest())
+    return DecompositionTree(mode, depth, config.m, nodes, window, config.digest())
 
 
 def reconstruct(config: MMRAConfig, tree: DecompositionTree) -> CoefSeq:
@@ -252,7 +248,10 @@ def reconstruct(config: MMRAConfig, tree: DecompositionTree) -> CoefSeq:
     beyond tolerance raises ``InconsistentTreeError`` instead of being
     averaged away.  A tree holding non-finite values raises the same
     error, since no comparison can vouch for it, and so does a tree
-    decomposed under another config (its recorded digest differs).
+    decomposed under another config (its recorded digest differs).  A
+    full tree is walked over all of the config's banks, whatever its
+    recorded m.  A path tree whose depth is not the length of its
+    longest node path raises ``IncompleteTreeError``.
     """
     if tree.config_digest != config.digest():
         raise InconsistentTreeError(
@@ -260,44 +259,35 @@ def reconstruct(config: MMRAConfig, tree: DecompositionTree) -> CoefSeq:
             f"not {config.digest()}")
     zero = (0,) * config.banks[0].dim
     for key, node in tree.nodes.items():
+        if not all(0 <= d < config.m for d in key):
+            raise InconsistentTreeError(
+                f"node {key} has digits outside range(0, {config.m})")
         arrays = list(node.details.values())
         if node.approx is not None:
             arrays.append(node.approx)
         if not all(np.isfinite(a.data).all() for a in arrays):
             raise InconsistentTreeError(f"node {key} holds non-finite values")
+    path = max(tree.nodes, key=len) if tree.mode == "path" else None
+    if path is not None and len(path) != tree.depth:
+        raise IncompleteTreeError(
+            f"path tree of depth {tree.depth} has a longest path of length {len(path)}")
 
-    if tree.mode == "path":
-        path = max(tree.nodes.keys(), key=len)
-        node = tree.node(path)
-        if node.approx is None:
-            raise IncompleteTreeError("path leaf is missing its approximation")
-        approx = node.approx
-        for k in range(len(path), 0, -1):
-            j = path[k - 1]
-            details = tree.node(path[:k]).details
-            approx = synthesize(config.banks[j], {zero: approx, **details})
-        return approx
-
-    def rebuild(path: Digits) -> CoefSeq:
-        node = tree.node(path)
-        if len(path) == tree.depth:
-            if node.approx is None:
-                raise IncompleteTreeError(f"leaf {path} is missing its approximation")
-            return node.approx
-        candidates = []
-        for j in range(tree.m):
-            child = path + (j,)
-            child_node = tree.node(child)
-            child_approx = rebuild(child)
-            candidates.append(
-                synthesize(config.banks[j], {zero: child_approx,
-                                             **child_node.details}))
+    def rebuild(node: Digits) -> CoefSeq:
+        if len(node) == tree.depth:
+            leaf = tree.node(node)
+            if leaf.approx is None:
+                raise IncompleteTreeError(f"leaf {node} is missing its approximation")
+            return leaf.approx
+        candidates = [
+            synthesize(config.banks[j], {zero: rebuild(node + (j,)),
+                                         **tree.node(node + (j,)).details})
+            for j in _digits_below(config.m, path, len(node))]
         scale = max(1.0, candidates[0].linf())
-        for j in range(1, tree.m):
+        for j in range(1, len(candidates)):
             gap = max_abs_diff(candidates[0], candidates[j])
             if not gap <= BRANCH_AGREEMENT_TOL * scale:
                 raise InconsistentTreeError(
-                    f"branches 0 and {j} below node {path} disagree by {gap:.3e}")
+                    f"branches 0 and {j} below node {node} disagree by {gap:.3e}")
         return candidates[0]
 
     return rebuild(())

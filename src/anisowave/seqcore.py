@@ -7,18 +7,19 @@ unimodular reindexing, tensor products) are the raw material for masks,
 filters and signals alike.
 
 Every lattice operation runs through one polyphase kernel with two
-directions.  A tap beta = xi nu + rho of a filter belongs to the phase
-f_rho of the coset rho + xi Z^s; in a dense array the points
-xi gamma + beta form a strided view, so analysis (``polyphase_analysis``:
-correlate, then keep the lags on xi Z^s) reads one such view per tap,
-and subdivision (``polyphase_subdivision``: spread onto xi Z^s, then
-convolve) adds into one per tap.  Every multiply-add pairs a nonzero tap
-with a sample on the coarse lattice: nothing is computed and then thrown
-away, and no upsampled grid of zeros is built.  The public operations
-are special cases: ``convolve`` is subdivision with xi = I, ``upsample``
-is subdivision with the pulse as mask, and ``downsample`` and
-``reindex`` are analysis with the pulse as the only filter.  Only numpy
-is needed.
+directions.  Filters and masks are passed as plain sequences; the kernel
+splits each into its nonzero taps on every call.  A tap
+beta = xi nu + rho of a filter belongs to the phase f_rho of the coset
+rho + xi Z^s; in a dense array the points xi gamma + beta form a
+strided view, so analysis (``polyphase_analysis``: correlate, then keep
+the lags on xi Z^s) reads one such view per tap, and subdivision
+(``polyphase_subdivision``: spread onto xi Z^s, then convolve) adds into
+one per tap.  Every multiply-add pairs a nonzero tap with a sample on
+the coarse lattice: nothing is computed and then thrown away, and no
+upsampled grid of zeros is built.  The public operations are special
+cases: ``convolve`` is subdivision with xi = I, ``upsample`` is
+subdivision with the pulse as mask, and ``downsample`` and ``reindex``
+are analysis with the pulse as the only filter.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _check_dilation(c: CoefSeq, xi: IntMatrix):
 def downsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
     """Keep the sublattice samples: result(alpha) = c(xi alpha)."""
     _check_dilation(c, xi)
-    return polyphase_analysis(c, xi, [_pulse_taps(c.dim)])[0]
+    return polyphase_analysis(c, xi, [delta(c.dim)])[0]
 
 
 def upsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
@@ -249,7 +250,7 @@ def reindex(c: CoefSeq, theta: IntMatrix) -> CoefSeq:
         raise DimMismatchError(f"matrix dim {theta.dim} != sequence dim {c.dim}")
     if not is_unimodular(theta):
         raise NotUnimodularError("reindexing requires a unimodular matrix")
-    return polyphase_analysis(c, theta, [_pulse_taps(c.dim)])[0]
+    return polyphase_analysis(c, theta, [delta(c.dim)])[0]
 
 
 def tensor(factors: Sequence[CoefSeq]) -> CoefSeq:
@@ -271,36 +272,20 @@ def tensor(factors: Sequence[CoefSeq]) -> CoefSeq:
 _STACK_CELLS = 1 << 20
 
 
-class Taps:
-    """The nonzero taps of a filter, split once and reused on every call.
+def _taps(f: CoefSeq) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, weights) of the nonzero taps of f.
 
     positions[k] is the lattice point beta_k of the k-th nonzero tap and
-    weights[k] its value; window is the filter's support box.  Grouped
-    by the coset of beta under a dilation xi, the taps are the filter's
-    polyphase components f_rho(nu) = f(xi nu + rho).
+    weights[k] its value.  Grouped by the coset of beta under a dilation
+    xi, the taps are the filter's polyphase components
+    f_rho(nu) = f(xi nu + rho).
     """
-
-    __slots__ = ("window", "positions", "weights")
-
-    def __init__(self, f: CoefSeq):
-        nz = np.nonzero(f.data)
-        self.window = f.window
-        self.positions = (np.stack(nz, axis=1).astype(np.int64)
-                          + np.asarray(f.origin, dtype=np.int64))
-        self.weights = f.data[nz]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@functools.lru_cache(maxsize=None)
-def _pulse_taps(s: int) -> Taps:
-    """Taps of delta(s): the one filter of ``downsample`` and ``reindex``."""
-    return Taps(delta(s))
+    nz = f.data != 0
+    return np.argwhere(nz) + np.asarray(f.origin, dtype=np.int64), f.data[nz]
 
 
 def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
-                       filters: Sequence[Taps]) -> list[CoefSeq]:
+                       filters: Sequence[CoefSeq]) -> list[CoefSeq]:
     """The correlation of c with each filter f, kept on the lags xi Z^s.
 
     Component(gamma) = sum_beta f(beta) c(xi gamma + beta)
@@ -310,8 +295,8 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     filter, and each result is trimmed to its nonzero support.
     """
     s, cw = c.dim, c.window
-    hull_lo = tuple(min(f.window.lo[i] for f in filters) for i in range(s))
-    hull_hi = tuple(max(f.window.hi[i] for f in filters) for i in range(s))
+    hull_lo = tuple(min(f.origin[i] for f in filters) for i in range(s))
+    hull_hi = tuple(max(f.origin[i] + f.shape[i] - 1 for f in filters) for i in range(s))
     box = _preimage_box(xi, Window(tuple(a - b for a, b in zip(cw.lo, hull_hi)),
                                    tuple(a - b for a, b in zip(cw.hi, hull_lo))))
     if box is None:
@@ -325,18 +310,18 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     chunk = max(1, _STACK_CELLS // cells)
     out = []
     for f in filters:
+        positions, weights = _taps(f)
         acc = np.zeros(cells)
-        if len(f):
-            view, rows = _shifted_views(src, src_lo, xi, lo, shape, f.positions)
-            for k in range(0, len(f), chunk):
+        if len(weights):
+            view, rows = _shifted_views(src, src_lo, xi, lo, shape, positions)
+            for k in range(0, len(weights), chunk):
                 stack = view[rows[k:k + chunk]].reshape(-1, cells)
-                acc += f.weights[k:k + chunk] @ stack
+                acc += weights[k:k + chunk] @ stack
         out.append(CoefSeq(lo, acc.reshape(shape)).trimmed())
     return out
 
 
-def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq,
-                          taps: Taps | None = None) -> CoefSeq:
+def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq) -> CoefSeq:
     """c spread onto xi Z^s and convolved with the mask, computed polyphase.
 
     out(beta) = sum_alpha mask(beta - xi alpha) c(alpha), so
@@ -347,22 +332,19 @@ def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq,
     than the mask (a few samples spread by a large dilation), each
     nonzero c(alpha) adds a scaled copy of the mask at xi alpha
     instead.  The output box is the image box of c's window widened by
-    the mask window, untrimmed.  taps is
-    ``Taps(mask)`` if the caller holds it; otherwise the mask is split
-    here when its taps are needed.
+    the mask window, untrimmed.
     """
     img_lo, img_hi = _image_box(xi, c.window)
     lo = tuple(a + b for a, b in zip(img_lo, mask.window.lo))
     hi = tuple(a + b for a, b in zip(img_hi, mask.window.hi))
     out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    mask_taps = len(taps) if taps is not None else np.count_nonzero(mask.data)
-    if np.count_nonzero(c.data) < mask_taps:
-        spread = Taps(c)
-        shifts = spread.positions @ np.asarray(xi.entries, dtype=np.int64).T
-        weights, src, step = spread.weights, mask, IntMatrix.identity(c.dim)
+    if np.count_nonzero(c.data) < np.count_nonzero(mask.data):
+        positions, weights = _taps(c)
+        shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
+        src, step = mask, IntMatrix.identity(c.dim)
     else:
-        taps = taps if taps is not None else Taps(mask)
-        shifts, weights, src, step = taps.positions, taps.weights, c, xi
+        shifts, weights = _taps(mask)
+        src, step = c, xi
     if len(weights):
         view, rows = _shifted_views(out, lo, step, src.origin, src.shape, shifts)
         scaled = np.empty(src.shape)
@@ -386,7 +368,7 @@ def cross_qmf_residual(b: CoefSeq, b2: CoefSeq, xi: IntMatrix, same: bool) -> fl
     """Deviation of a filter pair from |det xi| . delta_{same} . delta."""
     _check_dims(b, b2)
     _check_dilation(b, xi)
-    return _qmf_gap(polyphase_analysis(b, xi, [Taps(b2)])[0], abs(determinant(xi)), same)
+    return _qmf_gap(polyphase_analysis(b, xi, [b2])[0], abs(determinant(xi)), same)
 
 
 def _qmf_gap(lagged: CoefSeq, det: int, same: bool) -> float:

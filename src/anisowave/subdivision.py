@@ -27,7 +27,6 @@ from .errors import (
 from .lattice import IntMatrix, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
-    Taps,
     Window,
     _check_dilation,
     _image_box,
@@ -51,14 +50,12 @@ def _cell_cap(cell_cap: int | None) -> int:
 class SubdivisionOp:
     """Mask plus dilation matrix; application is mask-weighted spreading.
 
-    taps, when given, is ``Taps(mask)`` split once by the caller (a
-    bank's filters are split once per bank); otherwise ``subdivide``
-    splits the mask when it needs the taps.
+    The mask is a plain sequence: ``subdivide`` hands it to the
+    polyphase kernel, which splits its nonzero taps on each call.
     """
 
     xi: IntMatrix
     mask: CoefSeq = field(repr=False)
-    taps: Taps | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dilation(self.mask, self.xi)
@@ -66,16 +63,16 @@ class SubdivisionOp:
     @classmethod
     def from_bank(cls, bank: AnisoFilterBank,
                   eta: Sequence[int] | None = None) -> "SubdivisionOp":
-        """Operator of one bank filter (the lowpass by default) with its cached taps."""
+        """Operator of one bank filter (the lowpass by default)."""
         key = (0,) * bank.dim if eta is None else tuple(int(e) for e in eta)
-        return cls(bank.xi, bank.filter_at(key), bank.taps[key])
+        return cls(bank.xi, bank.filter_at(key))
 
 
 def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     """One subdivision step: sum_alpha mask(. - xi alpha) c(alpha)."""
     if c.dim != op.mask.dim:
         raise DimMismatchError(f"data dim {c.dim} != mask dim {op.mask.dim}")
-    return polyphase_subdivision(c, op.xi, op.mask, op.taps)
+    return polyphase_subdivision(c, op.xi, op.mask)
 
 
 def _next_cells(op: SubdivisionOp, window: Window) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -12,6 +13,14 @@ from anisowave.cli import main
 from anisowave.seqcore import CoefSeq, max_abs_diff
 
 XI1_JSON = "[[3,-1],[0,2]]"
+
+
+def raw_grid_bytes(origin, data):
+    """A grid container packed by hand, so it may hold what the writer refuses."""
+    head = b"ANI1" + struct.pack("<I", data.ndim)
+    head += struct.pack(f"<{data.ndim}q", *origin)
+    head += struct.pack(f"<{data.ndim}Q", *data.shape)
+    return head + np.ascontiguousarray(data, dtype="<f8").tobytes()
 
 
 class TestCanonicalJson:
@@ -56,9 +65,19 @@ class TestGridFormat:
         data = np.ones((3, 4))
         data[1, 2] = bad
         path = str(tmp_path / "poisoned.grid")
-        formats.write_grid(path, CoefSeq((0, 0), data))
+        with open(path, "wb") as fh:
+            fh.write(raw_grid_bytes((0, 0), data))
         with pytest.raises(ValueError, match="poisoned.grid.*non-finite"):
             formats.read_grid(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_non_finite(self, tmp_path, bad):
+        data = np.ones((3, 4))
+        data[1, 2] = bad
+        path = str(tmp_path / "poisoned.grid")
+        with pytest.raises(ValueError, match="non-finite"):
+            formats.write_grid(path, CoefSeq((0, 0), data))
+        assert not os.listdir(tmp_path)
 
     def test_rejects_trailing_bytes(self, tmp_path):
         path = str(tmp_path / "long.grid")
@@ -201,6 +220,15 @@ class TestCliBank:
                          "--families", "cl3,db2", "-o", p]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_malformed_bank_exit_1(self, bank_file, tmp_path, capsys):
+        data = json.load(open(bank_file))
+        del data["theta1"]
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        assert main(["bank", "verify", bad]) == 1
+        assert "bad.json" in capsys.readouterr().err
+
     def test_unknown_family_exit_1(self, tmp_path):
         assert main(["bank", "build", "--xi", XI1_JSON, "--sigma", "3,2",
                      "--families", "nope,db2",
@@ -217,6 +245,19 @@ class TestCliCascade:
         assert len([n for n in names if n.endswith(".grid")]) == 6
         side = json.load(open(os.path.join(out, "phi.json")))
         assert side["level"] == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pgm", [[], ["--pgm", "8"]])
+    def test_divergent_bank_exit_1_writes_nothing(self, bank_file, tmp_path, pgm):
+        data = json.load(open(bank_file))
+        lowpass = data["filters"]["0,0"]
+        lowpass["data"] = [x * 1e200 for x in lowpass["data"]]
+        bad = str(tmp_path / "divergent.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        out = str(tmp_path / "grids")
+        assert main(["cascade", bad, "-r", "3", "-o", out] + pgm) == 1
+        assert os.listdir(out) == []
 
     def test_cell_cap_exit_3(self, bank_file, tmp_path, monkeypatch):
         monkeypatch.setenv("ANISO_CELL_CAP", "500")
@@ -303,10 +344,53 @@ class TestCliTransform:
 
     def test_malformed_signal_exit_1(self, config_file, tmp_path, capsys):
         signal = str(tmp_path / "nan.grid")
-        formats.write_grid(signal, CoefSeq((0, 0), np.full((60, 60), np.nan)))
+        with open(signal, "wb") as fh:
+            fh.write(raw_grid_bytes((0, 0), np.full((60, 60), np.nan)))
         assert main(["transform", "decompose", config_file, signal,
                      "-o", str(tmp_path / "tree")]) == 1
         assert "nan.grid" in capsys.readouterr().err
+
+    def test_config_without_families_exit_1(self, tmp_path, signal_file, capsys):
+        config = str(tmp_path / "nofam.json")
+        with open(config, "w") as fh:
+            json.dump({"sigma1": 3, "sigma2": 2, "s": 2, "depth": 1}, fh)
+        assert main(["transform", "decompose", config, signal_file,
+                     "-o", str(tmp_path / "tree")]) == 1
+        assert "nofam.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["no_signal_window", "integer_file_name"])
+    def test_malformed_manifest_exit_1(self, config_file, signal_file, tmp_path,
+                                       capsys, edit):
+        tree = str(tmp_path / "tree")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree]) == 0
+        path = os.path.join(tree, "manifest.json")
+        manifest = json.load(open(path))
+        if edit == "no_signal_window":
+            del manifest["signal_window"]
+        else:
+            node = next(n for n in manifest["nodes"] if n["details"])
+            node["details"][next(iter(node["details"]))] = 7
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert main(["transform", "reconstruct", tree,
+                     "-o", str(tmp_path / "r.grid")]) == 1
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_path_manifest_without_approx_exit_2(self, config_file, signal_file,
+                                                  tmp_path, capsys):
+        tree = str(tmp_path / "chain")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree, "--path", "0,1"]) == 0
+        path = os.path.join(tree, "manifest.json")
+        manifest = json.load(open(path))
+        for node in manifest["nodes"]:
+            node["approx"] = None
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert main(["transform", "reconstruct", tree,
+                     "-o", str(tmp_path / "r.grid")]) == 2
+        assert "approximation" in capsys.readouterr().err
 
     def test_cut_tree_grid_exit_1(self, config_file, signal_file, tmp_path, capsys):
         tree = str(tmp_path / "tree")

@@ -170,6 +170,16 @@ class TestTree:
         with pytest.raises(InconsistentTreeError):
             aw.reconstruct(config, tree)
 
+    def test_recorded_m_cannot_skip_a_branch(self, config):
+        sig = CoefSeq((0, 0), np.random.RandomState(15).randn(60, 60))
+        tree = aw.decompose(config, sig)
+        node = tree.nodes[(1,)]
+        eta = next(iter(node.details))
+        node.details[eta] = node.details[eta].scaled(2.0)
+        tree.m = 1
+        with pytest.raises(InconsistentTreeError, match="branches 0 and 1"):
+            aw.reconstruct(config, tree)
+
     def test_non_finite_leaf_rejected_in_path_mode(self, sets):
         cfg = aw.build_config(3, 2, 2, None, sets, path=(1, 0))
         tree = aw.decompose(cfg, CoefSeq((0, 0), np.random.RandomState(9).randn(60, 60)))
@@ -190,6 +200,22 @@ class TestTree:
         with pytest.raises(InconsistentTreeError, match="config"):
             aw.reconstruct(other, tree)
         assert max_abs_diff(aw.reconstruct(config, tree), sig) <= 1e-9 * sig.linf()
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_path_tree_depth_must_match_its_path(self, sets, depth):
+        cfg = aw.build_config(3, 2, 2, None, sets, path=(1, 0))
+        tree = aw.decompose(cfg, CoefSeq((0, 0), np.random.RandomState(13).randn(60, 60)))
+        tree.depth = depth
+        with pytest.raises(IncompleteTreeError, match="depth"):
+            aw.reconstruct(cfg, tree)
+
+    def test_path_digit_outside_the_family_rejected(self, sets):
+        cfg = aw.build_config(3, 2, 2, None, sets, path=(1, 0))
+        tree = aw.decompose(cfg, CoefSeq((0, 0), np.random.RandomState(14).randn(60, 60)))
+        tree.nodes = {tuple(2 if d == 1 else d for d in key): node
+                      for key, node in tree.nodes.items()}
+        with pytest.raises(InconsistentTreeError, match="digits"):
+            aw.reconstruct(cfg, tree)
 
     def test_missing_node(self, config):
         sig = CoefSeq((0, 0), np.random.RandomState(6).randn(60, 60))

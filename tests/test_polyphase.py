@@ -26,7 +26,7 @@ import anisowave as aw
 from anisowave.dictionary import _subdivision_core, analysis_core
 from anisowave.errors import InconclusiveError, WindowTooSmallError
 from anisowave.lattice import IntMatrix, determinant, rational_inverse
-from anisowave.seqcore import CoefSeq, Taps, Window, max_abs_diff, polyphase_analysis
+from anisowave.seqcore import CoefSeq, Window, max_abs_diff, polyphase_analysis
 from anisowave.subdivision import SubdivisionOp
 
 # -- the direct oracle -------------------------------------------------------
@@ -192,7 +192,7 @@ PROPERTY = settings(max_examples=80, deadline=None)
 @given(cases())
 def test_analysis_matches_oracle(case):
     xi, c, f = case
-    got = polyphase_analysis(c, xi, [Taps(f)])[0]
+    got = polyphase_analysis(c, xi, [f])[0]
     assert_same(got, oracle_analysis(c, f, xi), scale_of(c, f))
 
 
