@@ -59,15 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_matrix(text: str) -> IntMatrix:
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    else:
-        obj = json.loads(text)
+def _matrix_from_json(obj) -> IntMatrix:
     if isinstance(obj, dict):
         return formats.matrix_from_json(obj)
     return IntMatrix.from_rows(obj)
+
+
+def _parse_matrix(text: str) -> IntMatrix:
+    """Inline JSON rows or a JSON file; a malformed matrix is a ValueError."""
+    if os.path.isfile(text):
+        return formats.read_json(text, _matrix_from_json)
+    return formats.parse_json(text, _matrix_from_json)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

@@ -174,19 +174,23 @@ def read_grid(path: str) -> CoefSeq:
     return _parse_file(path, grid_from_bytes)
 
 
-def read_json(path: str, parse):
-    """parse(the JSON document in the file); a malformed document names the file.
+def parse_json(text: str | bytes, parse):
+    """parse(the JSON document in text); a malformed document is a ValueError.
 
-    A missing key, a value of the wrong type or a list too short is a
-    ``ValueError``, like a syntax error.
+    A missing key, a value of the wrong type, a list too short or a
+    number too large for an integer is a ``ValueError``, like a syntax
+    error.
     """
-    def load(blob: bytes):
-        try:
-            return parse(json.loads(blob))
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
-            raise ValueError(
-                f"malformed document ({type(exc).__name__}: {exc})") from None
-    return _parse_file(path, load)
+    try:
+        return parse(json.loads(text))
+    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+        raise ValueError(
+            f"malformed document ({type(exc).__name__}: {exc})") from None
+
+
+def read_json(path: str, parse):
+    """parse_json of the file's contents; a malformed document names the file."""
+    return _parse_file(path, lambda blob: parse_json(blob, parse))
 
 
 # -- sampled limit functions -------------------------------------------------

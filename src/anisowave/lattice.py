@@ -8,6 +8,7 @@ are Python ints or ``fractions.Fraction``, never floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -185,6 +186,17 @@ def rational_inverse(m: IntMatrix) -> RatMatrix:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return RatMatrix(tuple(tuple(row) for row in inv))
+
+
+@functools.lru_cache(maxsize=256)
+def _integer_inverse(m: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, den) with m^-1 = adj / den and den = |det m| > 0; once per matrix."""
+    d = determinant(m)
+    if d == 0:
+        raise SingularMatrixError("dilation matrix is singular")
+    inv = rational_inverse(m)
+    adj = tuple(tuple(int(x * abs(d)) for x in row) for row in inv.entries)
+    return adj, abs(d)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -457,22 +469,18 @@ def coset_representatives(xi: IntMatrix) -> list[Vec]:
     """The |det| lattice points xi with xi^-1 . v in [0,1)^s.
 
     Scans the integer bounding box of the parallelepiped spanned by the
-    columns of xi, testing membership in exact rational arithmetic.
+    columns of xi.  With xi^-1 = adj / |det|, a point v belongs exactly
+    when 0 <= adj . v < |det| in every row, so the test is in integers.
     """
-    d = determinant(xi)
-    if d == 0:
-        raise SingularMatrixError("dilation matrix is singular")
-    inv = rational_inverse(xi)
+    adj, den = _integer_inverse(xi)
     s = xi.dim
     corners = [xi.apply(c) for c in itertools.product((0, 1), repeat=s)]
     lo = [min(c[i] for c in corners) for i in range(s)]
     hi = [max(c[i] for c in corners) for i in range(s)]
-    reps = []
-    for point in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(s)]):
-        image = inv.apply(point)
-        if all(0 <= x < 1 for x in image):
-            reps.append(point)
-    if len(reps) != abs(d):
+    reps = [point
+            for point in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(s)])
+            if all(0 <= sum(a * x for a, x in zip(row, point)) < den for row in adj)]
+    if len(reps) != den:
         raise AssertionError("internal error: coset count != |det|")
     return reps
 

@@ -374,6 +374,12 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
     always emitted.  Families whose cells fail to cover the simplex may
     be unable to reach small tolerances; the iteration cap then raises
     ``NonTerminationError``.
+
+    The steered slope of a word of n digits is x^n u plus an offset
+    (the closed form of ``lattice.digit_polynomial``).  The offset and
+    x^n are kept as the word grows, so each digit costs a fixed number
+    of exact rational operations and a call costs time linear in the
+    digit count, with the same exact error test as replaying the word.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -393,24 +399,28 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
                                 / math.log(ratio))) if float(delta) < 2 * diameter else 1
     cap = max(10 * expected, 20)
 
-    units = [tuple(Fraction(1 if i == j - 1 else 0) for i in range(k))
-             for j in range(family.dim)]
     digits: list[int] = []
+    offset = [Fraction(0)] * k  # sum over digits of x^(i-1) (1 - x) e_(eps_i)
+    power = Fraction(1)  # x^n for the n digits so far
     t = u2
     delta_sq = delta * delta
     while True:
-        best_j, best_d = 0, None
+        scaled = [ti / x for ti in t]
+        best_j, best_d, best_t = 0, None, None
         for j in range(family.dim):
-            shift = (1 - x) if j > 0 else Fraction(0)
-            pulled = tuple((ti - shift * units[j][i]) / x for i, ti in enumerate(t))
-            d = _distsq(_project_simplex(pulled), pulled) * x * x
+            pulled = list(scaled)
+            if j > 0:
+                pulled[j - 1] = (t[j - 1] - (1 - x)) / x
+            projected = _project_simplex(pulled)
+            d = _distsq(projected, pulled)
             if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        shift = (1 - x) if best_j > 0 else Fraction(0)
-        t = _project_simplex(tuple((ti - shift * units[best_j][i]) / x
-                                   for i, ti in enumerate(t)))
+                best_j, best_d, best_t = j, d, projected
+        t = best_t
         digits.append(best_j)
-        err_sq = _distsq(_slope_value(family, digits, u), u2)
+        if best_j > 0:
+            offset[best_j - 1] += power * (1 - x)
+        power *= x
+        err_sq = _distsq([power * v + o for v, o in zip(u, offset)], u2)
         if err_sq < delta_sq:
             break
         if len(digits) > cap:

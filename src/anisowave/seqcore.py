@@ -24,7 +24,6 @@ are analysis with the pulse as the only filter.  Only numpy is needed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimMismatchError, NotUnimodularError, SingularMatrixError
-from .lattice import IntMatrix, determinant, is_unimodular, rational_inverse
+from .lattice import IntMatrix, _integer_inverse, determinant, is_unimodular
 
 Vec = tuple[int, ...]
 
@@ -166,17 +165,6 @@ def convolve(a: CoefSeq, b: CoefSeq) -> CoefSeq:
 def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
     """(a x b)(gamma) = sum_alpha a(alpha) b(alpha - gamma)."""
     return convolve(a, b.reversed())
-
-
-@functools.lru_cache(maxsize=256)
-def _integer_inverse(m: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj, den) with m^-1 = adj / den and den = |det m| > 0; once per matrix."""
-    d = determinant(m)
-    if d == 0:
-        raise SingularMatrixError("dilation matrix is singular")
-    inv = rational_inverse(m)
-    adj = tuple(tuple(int(x * abs(d)) for x in row) for row in inv.entries)
-    return adj, abs(d)
 
 
 def _preimage_box(m: IntMatrix, window: Window) -> tuple[Vec, Vec] | None:

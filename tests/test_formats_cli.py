@@ -188,6 +188,19 @@ class TestCliSmith:
     def test_usage_error_exit_1(self):
         assert main(["smith"]) == 1
 
+    @pytest.mark.parametrize("matrix", ['{"x":1}', "5", "[[1e400]]"])
+    def test_malformed_inline_matrix_exit_1(self, matrix, capsys):
+        assert main(["smith", matrix]) == 1
+        assert "error: cannot parse matrix: " in capsys.readouterr().err
+
+    def test_malformed_matrix_file_exit_1(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        with open(path, "w") as fh:
+            fh.write('{"x":1}')
+        assert main(["smith", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot parse matrix: " in err and "m.json" in err
+
 
 @pytest.fixture()
 def bank_file(tmp_path):
@@ -228,6 +241,13 @@ class TestCliBank:
             json.dump(data, fh)
         assert main(["bank", "verify", bad]) == 1
         assert "bad.json" in capsys.readouterr().err
+
+    def test_malformed_xi_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "z.json")
+        assert main(["bank", "build", "--xi", "5", "--sigma", "3,2",
+                     "--families", "cl3,db2", "-o", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
 
     def test_unknown_family_exit_1(self, tmp_path):
         assert main(["bank", "build", "--xi", XI1_JSON, "--sigma", "3,2",

@@ -191,6 +191,23 @@ class TestSmithWithTarget:
         assert fact.theta1 == aw.inverse_unimodular(fam.shears[2])
 
 
+def reference_cosets(xi):
+    """Oracle: the bounding-box scan with an exact Fraction inverse per point."""
+    inv = rational_inverse(xi)
+    s = xi.dim
+    corners = [xi.apply(c) for c in itertools.product((0, 1), repeat=s)]
+    lo = [min(c[i] for c in corners) for i in range(s)]
+    hi = [max(c[i] for c in corners) for i in range(s)]
+    return [point
+            for point in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(s)])
+            if all(0 <= x < 1 for x in inv.apply(point))]
+
+
+nonsingular_matrices = (st.integers(min_value=1, max_value=3)
+                        .flatmap(lambda dim: small_matrices(dim, -5, 5))
+                        .filter(lambda m: aw.determinant(m) != 0))
+
+
 class TestCosets:
     def test_diagonal(self):
         reps = aw.coset_representatives(IntMatrix.diagonal([3, 2]))
@@ -227,6 +244,11 @@ class TestCosets:
                 for a, b in itertools.combinations(reps, 2):
                     diff = inv.apply(tuple(x - y for x, y in zip(a, b)))
                     assert any(x.denominator != 1 for x in diff)
+
+    @settings(max_examples=80, deadline=None)
+    @given(nonsingular_matrices)
+    def test_matches_rational_scan(self, m):
+        assert aw.coset_representatives(m) == reference_cosets(m)
 
 
 class TestDilationFamily:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisowave as aw
 from anisowave.errors import (
@@ -14,7 +16,7 @@ from anisowave.errors import (
     WindowTooSmallError,
 )
 from anisowave.lattice import IntMatrix
-from anisowave.mmra import _slope_value, _unsigned
+from anisowave.mmra import _distsq, _slope_value, _unsigned
 from anisowave.seqcore import CoefSeq, Window, max_abs_diff
 
 
@@ -284,7 +286,58 @@ def brute_force_first_reaching(family, w, w2, delta, n_max):
     return None, None
 
 
+#: (sigma1, sigma2) pairs for the slope properties; ratio 2/5 leaves holes
+SLOPE_SCALES = ((3, 2), (5, 2), (4, 3))
+
+
+@st.composite
+def slope_problems(draw):
+    """A family, two slopes in its sign-adapted simplex and a tolerance."""
+    s = draw(st.sampled_from((2, 3)))
+    sigma1, sigma2 = draw(st.sampled_from(SLOPE_SCALES))
+    signs = tuple(draw(st.lists(st.integers(0, 1), min_size=s - 1, max_size=s - 1)))
+    family = aw.dilation_family(sigma1, sigma2, s, signs)
+
+    def point():
+        cuts = sorted(draw(st.lists(st.integers(0, 10 ** 6),
+                                    min_size=s - 1, max_size=s - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts)]
+        return tuple(Fraction(p * (-1) ** b, 10 ** 6) for p, b in zip(parts, signs))
+
+    return family, point(), point(), Fraction(1, 10 ** draw(st.integers(1, 12)))
+
+
+def check_against_replay(family, w, w2, delta, out):
+    """The word reaches delta when replayed, and no shorter prefix does."""
+    u, u2 = _unsigned(family, w), _unsigned(family, w2)
+
+    def gap_sq(eps):
+        return _distsq(_slope_value(family, eps, u), u2)
+
+    assert out.n == len(out.eps)
+    assert gap_sq(out.eps) < delta ** 2
+    assert out.achieved_error == aw.slope_error(family, out.eps, w, w2)
+    if out.n > 1:
+        assert not gap_sq(out.eps[:-1]) < delta ** 2
+
+
 class TestSlopeDigits:
+    @settings(max_examples=150, deadline=None)
+    @given(slope_problems())
+    def test_matches_replay(self, problem):
+        family, w, w2, delta = problem
+        try:
+            out = aw.slope_digits(family, w, w2, delta)
+        except NonTerminationError:
+            return
+        check_against_replay(family, w, w2, delta, out)
+
+    def test_long_word_matches_replay(self, family):
+        delta = Fraction(1, 10 ** 24)
+        out = aw.slope_digits(family, (0,), (Fraction(1, 2),), delta)
+        assert out.n == 136
+        check_against_replay(family, (0,), (Fraction(1, 2),), delta, out)
+
     def test_fixed_point(self, family):
         out = aw.slope_digits(family, (0,), (0,), Fraction(1, 10))
         assert out.eps == (0,) and out.achieved_error == 0.0
