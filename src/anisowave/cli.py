@@ -11,8 +11,8 @@ Subcommands::
     aniso slope --sigma1 3 --sigma2 2 --dim 2 --w 0 --w2 0.5 --delta 0.01
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
-3 resource cap exceeded.  ANISO_CELL_CAP overrides the refinement grid
-cell cap.
+3 resource cap exceeded.  ANISO_CELL_CAP sets the refinement grid cell
+cap.
 """
 
 from __future__ import annotations

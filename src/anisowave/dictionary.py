@@ -27,9 +27,11 @@ from .lattice import (
 from .seqcore import (
     CoefSeq,
     Window,
-    _image_box,
+    _analysis_box,
+    _hull,
     _preimage_box,
     _qmf_gap,
+    _subdivision_box,
     cross_qmf_residual,
     embed,
     polyphase_analysis,
@@ -190,11 +192,7 @@ class AnisoFilterBank:
 
     def support_hull(self) -> Window:
         """Smallest box containing every filter's support."""
-        lo = tuple(min(f.origin[i] for f in self.filters.values())
-                   for i in range(self.dim))
-        hi = tuple(max(f.origin[i] + f.shape[i] - 1 for f in self.filters.values())
-                   for i in range(self.dim))
-        return Window(lo, hi)
+        return _hull(list(self.filters.values()))
 
     def residual_matrix(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
         """Cross-QMF residual for every ordered pair of filters."""
@@ -273,8 +271,7 @@ def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
         box = _preimage_box(xi, Window(lo, hi))
     if box is None:
         return np.zeros((0, xi.dim), dtype=np.int64)
-    shape = tuple(h - l + 1 for l, h in zip(*box))
-    lags = np.indices(shape, dtype=np.int64).reshape(xi.dim, -1).T + np.array(box[0])
+    lags = np.indices(box.shape, dtype=np.int64).reshape(xi.dim, -1).T + np.array(box.lo)
     image = lags @ np.array(xi.entries, dtype=np.int64).T
     return lags[np.all((image >= np.array(lo)) & (image <= np.array(hi)), axis=1)]
 
@@ -290,15 +287,12 @@ def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarra
     indicator = CoefSeq(mask.origin, mask.data != 0).trimmed()
     if not indicator.sum():
         raise WindowTooSmallError("empty subdivision output")
-    img_lo, img_hi = _image_box(xi, window)
-    taps = indicator.window
     # every point whose taps can reach a cell that the window feeds
-    near = Window(*_preimage_box(xi, Window(
-        tuple(i + t - m for i, t, m in zip(img_lo, taps.lo, mask.window.hi)),
-        tuple(i + t - m for i, t, m in zip(img_hi, taps.hi, mask.window.lo)))))
-    fed_all = polyphase_subdivision(CoefSeq(near.lo, np.ones(near.shape)), xi, indicator)
-    fed_inside = polyphase_subdivision(CoefSeq(window.lo, np.ones(window.shape)), xi,
-                                       indicator)
+    near = _analysis_box(xi, _subdivision_box(xi, window, indicator.window), mask.window)
+    fed_all = polyphase_subdivision([CoefSeq(near.lo, np.ones(near.shape))], xi,
+                                    [indicator])
+    fed_inside = polyphase_subdivision([CoefSeq(window.lo, np.ones(window.shape))], xi,
+                                       [indicator])
     fed_inside = embed(fed_inside, fed_all.origin, fed_all.window.hi)
     clean = np.argwhere((fed_inside > 0) & (fed_inside == fed_all.data))
     if not len(clean):

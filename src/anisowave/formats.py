@@ -14,13 +14,12 @@ import math
 import os
 import struct
 import tempfile
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
 from .dictionary import AnisoFilterBank, UnivariateQMFSet
-from .lattice import IntMatrix, RatMatrix, SmithFactorization
+from .lattice import IntMatrix, SmithFactorization
 from .seqcore import CoefSeq, Window
 from .subdivision import SampledFunction
 
@@ -48,8 +47,6 @@ def _render(obj: Any) -> str:
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, Fraction):
-        return _render({"num": obj.numerator, "den": obj.denominator})
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
         return "{" + ",".join(f"{json.dumps(str(k))}:{_render(v)}"
@@ -82,7 +79,7 @@ def _atomic_write(path: str, blob: bytes):
         raise
 
 
-# -- matrices and rationals --------------------------------------------------
+# -- matrices ----------------------------------------------------------------
 
 def matrix_to_json(m: IntMatrix) -> dict:
     return {"dim": m.dim, "rows": [list(r) for r in m.entries]}
@@ -92,17 +89,6 @@ def matrix_from_json(obj: dict) -> IntMatrix:
     if m.dim != obj.get("dim", m.dim):
         raise ValueError("matrix dim field disagrees with rows")
     return m
-
-
-def rat_matrix_to_json(m: RatMatrix) -> dict:
-    return {"dim": m.dim,
-            "rows": [[{"num": x.numerator, "den": x.denominator} for x in row]
-                     for row in m.entries]}
-
-
-def rat_matrix_from_json(obj: dict) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [[Fraction(x["num"], x["den"]) for x in row] for row in obj["rows"]])
 
 
 # -- coefficient sequences ---------------------------------------------------
@@ -222,10 +208,6 @@ def read_sampled(base_path: str) -> SampledFunction:
 
 
 # -- univariate sets and banks -----------------------------------------------
-
-def univariate_set_to_json(s: UnivariateQMFSet) -> dict:
-    return {"scale": s.scale, "filters": [coefseq_to_json(f) for f in s.filters]}
-
 
 def univariate_set_from_json(obj: dict) -> UnivariateQMFSet:
     return UnivariateQMFSet(int(obj["scale"]),

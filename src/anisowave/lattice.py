@@ -134,12 +134,6 @@ class RatMatrix:
         """Maximum absolute row sum."""
         return max(sum(abs(x) for x in row) for row in self.entries)
 
-    def norm_one(self) -> Fraction:
-        """Maximum absolute column sum."""
-        n = self.dim
-        return max(sum(abs(self.entries[i][j]) for i in range(n)) for j in range(n))
-
-
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     a = m.rows()

@@ -2,11 +2,12 @@
 transform, and directional slope resolution.
 
 Analysis of a signal against a bank produces one downsampled component
-per filter index; synthesis is subdivision with the same filters, so
-the pair reconstructs perfectly whenever the bank satisfies the QMF
-identities.  The tree transform re-analyzes lowpass components with
-every bank of a dilation family, and the slope machinery extracts the
-digit word steering a branch toward a prescribed hyperplane slope.
+per filter index; synthesis, its adjoint, is subdivision with the same
+filters summed in one kernel call, so the pair reconstructs perfectly
+whenever the bank satisfies the QMF identities.  The tree transform
+re-analyzes lowpass components with every bank of a dilation family,
+and the slope machinery extracts the digit word steering a branch
+toward a prescribed hyperplane slope.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .lattice import DilationFamily, dilation_family
 from .seqcore import (
     CoefSeq,
     Window,
-    _preimage_box,
+    _analysis_box,
     max_abs_diff,
     polyphase_analysis,
-    seq_add,
+    polyphase_subdivision,
 )
-from .subdivision import SubdivisionOp, subdivide
 
 BRANCH_AGREEMENT_TOL = 1e-8
 
@@ -66,14 +66,16 @@ def analyze(bank: AnisoFilterBank, c: CoefSeq) -> dict[Digits, CoefSeq]:
 
 
 def synthesize(bank: AnisoFilterBank, parts: Mapping[Digits, CoefSeq]) -> CoefSeq:
-    """Rebuild a signal from components: sum of per-filter subdivisions."""
-    out = None
-    for eta, part in sorted(parts.items()):
-        piece = subdivide(SubdivisionOp.from_bank(bank, eta), part)
-        out = piece if out is None else seq_add(out, piece)
-    if out is None:
-        raise ValueError("no components to synthesize")
-    return out
+    """Rebuild a signal from components: the adjoint of ``analyze``.
+
+    sum_eta S_{g_eta} c_eta, the subdivision of every component with its
+    bank filter, is one polyphase kernel call over the sorted indices.
+    An unknown index raises ``BadIndexError``, a component of the wrong
+    dimension ``DimMismatchError`` and an empty mapping ``ValueError``.
+    """
+    etas = sorted(parts)
+    return polyphase_subdivision([parts[eta] for eta in etas], bank.xi,
+                                 [bank.filter_at(eta) for eta in etas])
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,6 @@ class DecompositionTree:
         return sorted(self.nodes.keys(), key=lambda p: (len(p), p))
 
 
-def _approx_box(box: Window, bank: AnisoFilterBank) -> Window | None:
-    """Support box of the lowpass component produced by one analysis step."""
-    fw = bank.lowpass.window
-    corr = Window(tuple(l - h for l, h in zip(box.lo, fw.hi)),
-                  tuple(h - l for h, l in zip(box.hi, fw.lo)))
-    pre = _preimage_box(bank.xi, corr)
-    return None if pre is None else Window(*pre)
-
-
 def _digits_below(m: int, path: Digits | None, level: int) -> Sequence[int]:
     """Digits of the children of a node at this level.
 
@@ -200,7 +193,7 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
         bank = config.banks[j]
         if not len(_core_lags(box, bank.xi, bank.support_hull())):
             return None
-        return _approx_box(box, bank)
+        return _analysis_box(bank.xi, box, bank.lowpass.window)
 
     boxes = [window]
     for level in range(levels):
@@ -380,6 +373,11 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
     x^n are kept as the word grows, so each digit costs a fixed number
     of exact rational operations and a call costs time linear in the
     digit count, with the same exact error test as replaying the word.
+
+    delta may lie outside the float range (a ``Fraction`` such as
+    10^-400): the iteration cap is then sized from the logs of its
+    integer numerator and denominator, and ``achieved_error``, a float,
+    reads 0.0 although the exact error is positive.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -394,9 +392,15 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
     x = family.ratio
     k = family.dim - 1
     diameter = 1.0 if k == 1 else math.sqrt(2.0)
-    ratio = float(x)
-    expected = max(1, math.ceil(math.log(float(delta) / (2 * diameter))
-                                / math.log(ratio))) if float(delta) < 2 * diameter else 1
+    expected = 1
+    if delta < 2 * diameter:
+        quotient = float(delta) / (2 * diameter)
+        # below the float range the quotient underflows to 0; the logs
+        # of delta's integer numerator and denominator stay finite
+        log_quotient = (math.log(quotient) if quotient > 0 else
+                        math.log(delta.numerator) - math.log(delta.denominator)
+                        - math.log(2 * diameter))
+        expected = max(1, math.ceil(log_quotient / math.log(float(x))))
     cap = max(10 * expected, 20)
 
     digits: list[int] = []

@@ -14,12 +14,16 @@ rho + xi Z^s; in a dense array the points xi gamma + beta form a
 strided view, so analysis (``polyphase_analysis``: correlate, then keep
 the lags on xi Z^s) reads one such view per tap, and subdivision
 (``polyphase_subdivision``: spread onto xi Z^s, then convolve) adds into
-one per tap.  Every multiply-add pairs a nonzero tap with a sample on
-the coarse lattice: nothing is computed and then thrown away, and no
-upsampled grid of zeros is built.  The public operations are special
-cases: ``convolve`` is subdivision with xi = I, ``upsample`` is
-subdivision with the pulse as mask, and ``downsample`` and ``reindex``
-are analysis with the pulse as the only filter.  Only numpy is needed.
+one per tap.  The two directions are adjoint: analysis takes every
+filter of a bank in one call, and subdivision sums every (component,
+filter) pair into one output in one call.  Every multiply-add pairs a
+nonzero tap with a sample on the coarse lattice: nothing is computed
+and then thrown away, and no upsampled grid of zeros is built.  The
+public operations are special cases: ``convolve`` is subdivision with
+xi = I, ``upsample`` is subdivision with the pulse as mask, and
+``downsample`` and ``reindex`` are analysis with the pulse as the only
+filter.  The box of a step (``_analysis_box``, ``_subdivision_box``) is
+computed here only; the other modules ask for it.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -158,8 +162,7 @@ def _check_dims(a: CoefSeq, b: CoefSeq):
 
 def convolve(a: CoefSeq, b: CoefSeq) -> CoefSeq:
     """(a*b)(gamma) = sum_alpha a(alpha) b(gamma - alpha): subdivision with xi = I."""
-    _check_dims(a, b)
-    return polyphase_subdivision(a, IntMatrix.identity(a.dim), b)
+    return polyphase_subdivision([a], IntMatrix.identity(a.dim), [b])
 
 
 def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
@@ -167,25 +170,41 @@ def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
     return convolve(a, b.reversed())
 
 
-def _preimage_box(m: IntMatrix, window: Window) -> tuple[Vec, Vec] | None:
+def _preimage_box(m: IntMatrix, window: Window) -> Window | None:
     """Integer bounding box of m^-1 applied to the window (None if empty)."""
     adj, den = _integer_inverse(m)
     corners = [tuple(sum(a * x for a, x in zip(row, c)) for row in adj)
                for c in itertools.product(*zip(window.lo, window.hi))]
     lo = tuple(-(-min(c[i] for c in corners) // den) for i in range(m.dim))
     hi = tuple(max(c[i] for c in corners) // den for i in range(m.dim))
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    return lo, hi
+    return None if any(l > h for l, h in zip(lo, hi)) else Window(lo, hi)
 
 
-def _image_box(m: IntMatrix, window: Window) -> tuple[Vec, Vec]:
-    """Integer bounding box of m applied to the window."""
+def _hull(seqs: Sequence[CoefSeq]) -> Window:
+    """Smallest box containing the box of every sequence."""
+    s = range(seqs[0].dim)
+    return Window(tuple(min(f.origin[i] for f in seqs) for i in s),
+                  tuple(max(f.origin[i] + f.shape[i] - 1 for f in seqs) for i in s))
+
+
+def _analysis_box(xi: IntMatrix, window: Window, hull: Window) -> Window | None:
+    """Lags gamma of one analysis step at which a filter tap can meet data.
+
+    The box of xi^-1 (window - hull): every gamma with xi gamma + beta in
+    the window for some beta in the filters' hull (None if empty).
+    """
+    return _preimage_box(xi, Window(tuple(w - h for w, h in zip(window.lo, hull.hi)),
+                                    tuple(w - h for w, h in zip(window.hi, hull.lo))))
+
+
+def _subdivision_box(xi: IntMatrix, window: Window, hull: Window) -> Window:
+    """Output box of one subdivision step: xi applied to the window, plus the hull."""
     lo = tuple(sum(min(a * l, a * h) for a, l, h in zip(row, window.lo, window.hi))
-               for row in m.entries)
+               for row in xi.entries)
     hi = tuple(sum(max(a * l, a * h) for a, l, h in zip(row, window.lo, window.hi))
-               for row in m.entries)
-    return lo, hi
+               for row in xi.entries)
+    return Window(tuple(a + b for a, b in zip(lo, hull.lo)),
+                  tuple(a + b for a, b in zip(hi, hull.hi)))
 
 
 def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
@@ -229,7 +248,7 @@ def downsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
 def upsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
     """Spread onto the sublattice: result(xi alpha) = c(alpha), zero off it."""
     _check_dilation(c, xi)
-    return polyphase_subdivision(c, xi, delta(c.dim))
+    return polyphase_subdivision([c], xi, [delta(c.dim)])
 
 
 def reindex(c: CoefSeq, theta: IntMatrix) -> CoefSeq:
@@ -282,64 +301,66 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     view of c.  The lags run over one box holding every lag of every
     filter, and each result is trimmed to its nonzero support.
     """
-    s, cw = c.dim, c.window
-    hull_lo = tuple(min(f.origin[i] for f in filters) for i in range(s))
-    hull_hi = tuple(max(f.origin[i] + f.shape[i] - 1 for f in filters) for i in range(s))
-    box = _preimage_box(xi, Window(tuple(a - b for a, b in zip(cw.lo, hull_hi)),
-                                   tuple(a - b for a, b in zip(cw.hi, hull_lo))))
+    hull = _hull(filters)
+    box = _analysis_box(xi, c.window, hull)
     if box is None:
-        return [CoefSeq((0,) * s, np.zeros((1,) * s)) for _ in filters]
-    lo, hi = box
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    img_lo, img_hi = _image_box(xi, Window(lo, hi))
-    src_lo = tuple(a + b for a, b in zip(img_lo, hull_lo))
-    src = embed(c, src_lo, tuple(a + b for a, b in zip(img_hi, hull_hi)))
-    cells = math.prod(shape)
+        return [CoefSeq((0,) * c.dim, np.zeros((1,) * c.dim)) for _ in filters]
+    src_box = _subdivision_box(xi, box, hull)
+    src = embed(c, src_box.lo, src_box.hi)
+    shape, cells = box.shape, box.cells
     chunk = max(1, _STACK_CELLS // cells)
     out = []
     for f in filters:
         positions, weights = _taps(f)
         acc = np.zeros(cells)
         if len(weights):
-            view, rows = _shifted_views(src, src_lo, xi, lo, shape, positions)
+            view, rows = _shifted_views(src, src_box.lo, xi, box.lo, shape, positions)
             for k in range(0, len(weights), chunk):
                 stack = view[rows[k:k + chunk]].reshape(-1, cells)
                 acc += weights[k:k + chunk] @ stack
-        out.append(CoefSeq(lo, acc.reshape(shape)).trimmed())
+        out.append(CoefSeq(box.lo, acc.reshape(shape)).trimmed())
     return out
 
 
-def polyphase_subdivision(c: CoefSeq, xi: IntMatrix, mask: CoefSeq) -> CoefSeq:
-    """c spread onto xi Z^s and convolved with the mask, computed polyphase.
+def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
+                          masks: Sequence[CoefSeq]) -> CoefSeq:
+    """Sum over k of parts[k] spread onto xi Z^s and convolved with masks[k].
 
+    The adjoint of ``polyphase_analysis``: for one pair (c, mask),
     out(beta) = sum_alpha mask(beta - xi alpha) c(alpha), so
     out(xi gamma + rho) = (m_rho * c)(gamma): each mask tap
     beta = xi nu + rho adds beta's weight times c into the strided view
-    of the output at xi alpha + beta, which lies in coset rho.  The
-    loop runs over the operand with fewer nonzeros: when c has fewer
-    than the mask (a few samples spread by a large dilation), each
-    nonzero c(alpha) adds a scaled copy of the mask at xi alpha
-    instead.  The output box is the image box of c's window widened by
-    the mask window, untrimmed.
+    of the output at xi alpha + beta, which lies in coset rho.  For each
+    pair the loop runs over the operand with fewer nonzeros: when c has
+    fewer than the mask (a few samples spread by a large dilation), each
+    nonzero c(alpha) adds a scaled copy of the mask at xi alpha instead.
+    Every pair adds into one output over the hull of the pairs' boxes
+    (xi applied to c's window, widened by the mask window), untrimmed.
     """
-    img_lo, img_hi = _image_box(xi, c.window)
-    lo = tuple(a + b for a, b in zip(img_lo, mask.window.lo))
-    hi = tuple(a + b for a, b in zip(img_hi, mask.window.hi))
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    if np.count_nonzero(c.data) < np.count_nonzero(mask.data):
-        positions, weights = _taps(c)
-        shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
-        src, step = mask, IntMatrix.identity(c.dim)
-    else:
-        shifts, weights = _taps(mask)
-        src, step = c, xi
-    if len(weights):
-        view, rows = _shifted_views(out, lo, step, src.origin, src.shape, shifts)
-        scaled = np.empty(src.shape)
-        for row, w in zip(rows, weights):
-            target = view[row]
-            target += np.multiply(src.data, w, out=scaled)
-    return CoefSeq(lo, out)
+    boxes = []
+    for c, mask in zip(parts, masks, strict=True):
+        _check_dims(c, mask)
+        boxes.append(_subdivision_box(xi, c.window, mask.window))
+    if not boxes:
+        raise ValueError("no components to subdivide")
+    box = Window(tuple(min(x) for x in zip(*(b.lo for b in boxes))),
+                 tuple(max(x) for x in zip(*(b.hi for b in boxes))))
+    out = np.zeros(box.shape)
+    for c, mask in zip(parts, masks):
+        if np.count_nonzero(c.data) < np.count_nonzero(mask.data):
+            positions, weights = _taps(c)
+            shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
+            src, step = mask, IntMatrix.identity(c.dim)
+        else:
+            shifts, weights = _taps(mask)
+            src, step = c, xi
+        if len(weights):
+            view, rows = _shifted_views(out, box.lo, step, src.origin, src.shape, shifts)
+            scaled = np.empty(src.shape)
+            for row, w in zip(rows, weights):
+                target = view[row]
+                target += np.multiply(src.data, w, out=scaled)
+    return CoefSeq(box.lo, out)
 
 
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:
@@ -392,13 +413,6 @@ def sample_polynomial(terms: Iterable[tuple[float, Sequence[int]]],
 
 # -- value-aligned arithmetic helpers ---------------------------------------
 
-def _union_box(a: CoefSeq, b: CoefSeq) -> tuple[Vec, Vec]:
-    lo = tuple(min(x, y) for x, y in zip(a.origin, b.origin))
-    hi = tuple(max(x + n - 1, y + m - 1)
-               for x, n, y, m in zip(a.origin, a.shape, b.origin, b.shape))
-    return lo, hi
-
-
 def embed(c: CoefSeq, lo: Vec, hi: Vec) -> np.ndarray:
     """Dense copy of c on the box [lo, hi] (zero padded, cropped to the box)."""
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
@@ -411,18 +425,8 @@ def embed(c: CoefSeq, lo: Vec, hi: Vec) -> np.ndarray:
     return out
 
 
-def seq_add(a: CoefSeq, b: CoefSeq) -> CoefSeq:
-    _check_dims(a, b)
-    lo, hi = _union_box(a, b)
-    return CoefSeq(lo, embed(a, lo, hi) + embed(b, lo, hi))
-
-
-def seq_sub(a: CoefSeq, b: CoefSeq) -> CoefSeq:
-    _check_dims(a, b)
-    lo, hi = _union_box(a, b)
-    return CoefSeq(lo, embed(a, lo, hi) - embed(b, lo, hi))
-
-
 def max_abs_diff(a: CoefSeq, b: CoefSeq) -> float:
     """Sup-norm distance treating both sequences as elements of l(Z^s)."""
-    return seq_sub(a, b).linf()
+    _check_dims(a, b)
+    box = _hull((a, b))
+    return float(np.abs(embed(a, box.lo, box.hi) - embed(b, box.lo, box.hi)).max())

@@ -10,7 +10,6 @@ refinable limit functions of a dilation family.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,18 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .dictionary import AnisoFilterBank
-from .errors import (
-    BadDigitError,
-    DimMismatchError,
-    GridMismatchError,
-    GridTooLargeError,
-)
+from .errors import BadDigitError, GridMismatchError, GridTooLargeError
 from .lattice import IntMatrix, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
     Window,
     _check_dilation,
-    _image_box,
+    _subdivision_box,
     delta,
     downsample,
     max_abs_diff,
@@ -38,12 +32,6 @@ from .seqcore import (
 )
 
 DEFAULT_CELL_CAP = 10 ** 8
-
-
-def _cell_cap(cell_cap: int | None) -> int:
-    if cell_cap is not None:
-        return int(cell_cap)
-    return int(os.environ.get("ANISO_CELL_CAP", DEFAULT_CELL_CAP))
 
 
 @dataclass(frozen=True)
@@ -70,20 +58,13 @@ class SubdivisionOp:
 
 def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     """One subdivision step: sum_alpha mask(. - xi alpha) c(alpha)."""
-    if c.dim != op.mask.dim:
-        raise DimMismatchError(f"data dim {c.dim} != mask dim {op.mask.dim}")
-    return polyphase_subdivision(c, op.xi, op.mask)
+    return polyphase_subdivision([c], op.xi, [op.mask])
 
 
-def _next_cells(op: SubdivisionOp, window: Window) -> int:
-    lo, hi = _image_box(op.xi, window)
-    mw = op.mask.window
-    return math.prod(h - l + 1 + (mh - ml)
-                     for l, h, ml, mh in zip(lo, hi, mw.lo, mw.hi))
-
-
-def _guarded_subdivide(op: SubdivisionOp, c: CoefSeq, cap: int) -> CoefSeq:
-    cells = _next_cells(op, c.window)
+def _guarded_subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
+    """``subdivide``, refused when its output box would exceed ANISO_CELL_CAP cells."""
+    cap = int(os.environ.get("ANISO_CELL_CAP", DEFAULT_CELL_CAP))
+    cells = _subdivision_box(op.xi, c.window, op.mask.window).cells
     if cells > cap:
         raise GridTooLargeError(
             f"refinement would need {cells} cells (cap {cap})")
@@ -121,19 +102,17 @@ def _as_sampled(c: CoefSeq, level: int, xi_total: IntMatrix) -> SampledFunction:
     return SampledFunction(level, xi_total, c.window, c.data)
 
 
-def cascade(op: SubdivisionOp, r: int, cell_cap: int | None = None) -> SampledFunction:
+def cascade(op: SubdivisionOp, r: int) -> SampledFunction:
     """Samples of the refinable limit on xi^-r Z^s via r pulse refinements."""
     if r < 0:
         raise ValueError("level must be >= 0")
-    cap = _cell_cap(cell_cap)
     c = delta(op.xi.dim)
     for _ in range(r):
-        c = _guarded_subdivide(op, c, cap)
+        c = _guarded_subdivide(op, c)
     return _as_sampled(c, r, _matrix_power(op.xi, r))
 
 
-def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int,
-                    cell_cap: int | None = None) -> SampledFunction:
+def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> SampledFunction:
     """Samples of the wavelet for index eta on the grid xi^-r Z^s.
 
     One subdivision step with the eta filter followed by r-1 lowpass
@@ -141,16 +120,14 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int,
     """
     if r < 1:
         raise ValueError("wavelet sampling needs r >= 1")
-    cap = _cell_cap(cell_cap)
     c = bank.filter_at(eta)
     low = SubdivisionOp.from_bank(bank)
     for _ in range(r - 1):
-        c = _guarded_subdivide(low, c, cap)
+        c = _guarded_subdivide(low, c)
     return _as_sampled(c, r, _matrix_power(bank.xi, r))
 
 
-def convergence_diagnostic(op: SubdivisionOp, r_max: int,
-                           cell_cap: int | None = None) -> list[float]:
+def convergence_diagnostic(op: SubdivisionOp, r_max: int) -> list[float]:
     """Sup-norm gaps d_r between consecutive refinements on nested grids.
 
     d_r compares level r against level r+1 restricted to the embedded
@@ -159,18 +136,16 @@ def convergence_diagnostic(op: SubdivisionOp, r_max: int,
     """
     if r_max < 2:
         raise ValueError("need r_max >= 2")
-    cap = _cell_cap(cell_cap)
     gaps = []
-    prev = _guarded_subdivide(op, delta(op.xi.dim), cap)
+    prev = _guarded_subdivide(op, delta(op.xi.dim))
     for _ in range(1, r_max):
-        nxt = _guarded_subdivide(op, prev, cap)
+        nxt = _guarded_subdivide(op, prev)
         gaps.append(max_abs_diff(prev, downsample(nxt, op.xi)))
         prev = nxt
     return gaps
 
 
-def conjugation_check(bank: AnisoFilterBank, r: int,
-                      cell_cap: int | None = None) -> float:
+def conjugation_check(bank: AnisoFilterBank, r: int) -> float:
     """Agreement of the bank's scheme with its conjugated diagonal scheme.
 
     Compares r steps of the bank's lowpass scheme on the pulse against
@@ -182,11 +157,10 @@ def conjugation_check(bank: AnisoFilterBank, r: int,
     """
     if r < 0:
         raise ValueError("level must be >= 0")
-    cap = _cell_cap(cell_cap)
     lhs = delta(bank.dim)
     op = SubdivisionOp.from_bank(bank)
     for _ in range(r):
-        lhs = _guarded_subdivide(op, lhs, cap)
+        lhs = _guarded_subdivide(op, lhs)
 
     theta1 = bank.fact.theta1
     theta1_inv = inverse_unimodular(theta1)
@@ -196,12 +170,12 @@ def conjugation_check(bank: AnisoFilterBank, r: int,
     rhs = delta(bank.dim)
     conj_op = SubdivisionOp(sigma_lam, h)
     for _ in range(r):
-        rhs = _guarded_subdivide(conj_op, rhs, cap)
+        rhs = _guarded_subdivide(conj_op, rhs)
     return max_abs_diff(lhs, reindex(rhs, theta1_inv))
 
 
 def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],
-                   r_tail: int, cell_cap: int | None = None) -> SampledFunction:
+                   r_tail: int) -> SampledFunction:
     """Mixed-dilation limit samples for the digit word mu.
 
     Applies one lowpass step per digit (first digit first) and then
@@ -210,25 +184,23 @@ def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],
     """
     if r_tail < 0:
         raise ValueError("tail level must be >= 0")
-    cap = _cell_cap(cell_cap)
     c = delta(banks[0].dim)
     total = IntMatrix.identity(banks[0].dim)
     for d in mu:
         if not 0 <= d < len(banks):
             raise BadDigitError(f"digit {d} outside range(0, {len(banks)})")
         bank = banks[d]
-        c = _guarded_subdivide(SubdivisionOp.from_bank(bank), c, cap)
+        c = _guarded_subdivide(SubdivisionOp.from_bank(bank), c)
         total = bank.xi @ total
     tail = SubdivisionOp.from_bank(banks[0])
     for _ in range(r_tail):
-        c = _guarded_subdivide(tail, c, cap)
+        c = _guarded_subdivide(tail, c)
     total = _matrix_power(banks[0].xi, r_tail) @ total
     return _as_sampled(c, r_tail + len(mu), total)
 
 
 def joint_refinement_residual(banks: Sequence[AnisoFilterBank], j: int,
-                              mu: Sequence[int], r_tail: int,
-                              cell_cap: int | None = None) -> float:
+                              mu: Sequence[int], r_tail: int) -> float:
     """Residual of the joint refinement relation on sampled grids.
 
     Checks that the limit samples for the word (j, mu) equal the
@@ -237,11 +209,11 @@ def joint_refinement_residual(banks: Sequence[AnisoFilterBank], j: int,
     """
     if not 0 <= j < len(banks):
         raise BadDigitError(f"digit {j} outside range(0, {len(banks)})")
-    coarse = multiple_limit(banks, mu, r_tail, cell_cap)
-    fine = multiple_limit(banks, (j,) + tuple(mu), r_tail, cell_cap)
+    coarse = multiple_limit(banks, mu, r_tail)
+    fine = multiple_limit(banks, (j,) + tuple(mu), r_tail)
     # sum_gamma lowpass_j(gamma) coarse(. - X gamma) is the subdivision
     # step with dilation X = coarse.xi_total whose mask is the coarse samples
-    rhs = polyphase_subdivision(banks[j].lowpass, coarse.xi_total, coarse.as_seq())
+    rhs = polyphase_subdivision([banks[j].lowpass], coarse.xi_total, [coarse.as_seq()])
     return max_abs_diff(fine.as_seq(), rhs)
 
 

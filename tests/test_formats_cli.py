@@ -494,17 +494,15 @@ class TestCliSlope:
         out = capsys.readouterr().out
         assert "digits : 1,1,1,1,1,1" in out and "length : 6" in out
 
+    def test_tolerance_below_float_range(self, capsys):
+        assert main(["slope", "--sigma1", "3", "--sigma2", "2", "--w", "0",
+                     "--w2", "0.5", "--delta", "1e-400"]) == 0
+        out = capsys.readouterr().out
+        assert "length : 2271" in out and "error  : 0.000000e+00" in out
+
     def test_out_of_simplex_exit_2(self):
         assert main(["slope", "--sigma1", "3", "--sigma2", "2", "--dim", "2",
                      "--w", "0", "--w2", "1.5", "--delta", "0.01"]) == 2
-
-
-class TestRationalMatrixJson:
-    def test_roundtrip(self, family):
-        inv = aw.xi_inverse_closed_form(family, (1, 0, 1))
-        back = formats.rat_matrix_from_json(
-            json.loads(formats.dumps(formats.rat_matrix_to_json(inv))))
-        assert back.entries == inv.entries
 
 
 class TestCustomFamilyFile:
@@ -512,7 +510,8 @@ class TestCustomFamilyFile:
         custom = str(tmp_path / "myhaar.json")
         with open(custom, "w") as fh:
             fh.write(formats.dumps(
-                formats.univariate_set_to_json(aw.haar())))
+                {"scale": 2,
+                 "filters": [formats.coefseq_to_json(f) for f in aw.haar().filters]}))
         out = str(tmp_path / "bank.json")
         assert main(["bank", "build", "--xi", "[[2,0],[0,2]]", "--sigma", "2,2",
                      "--families", f"{custom},haar", "-o", out]) == 0

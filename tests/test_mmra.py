@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import anisowave as aw
 from anisowave.errors import (
+    BadIndexError,
     DepthZeroError,
+    DimMismatchError,
     IncompleteTreeError,
     InconsistentTreeError,
     NonTerminationError,
@@ -56,6 +58,14 @@ class TestSynthesize:
                  for eta in bank0.indices()}
         out = aw.synthesize(bank0, parts)
         assert max_abs_diff(out, bank0.lowpass) <= 1e-15
+
+    def test_errors(self, bank0):
+        with pytest.raises(BadIndexError):
+            aw.synthesize(bank0, {(0, 0): aw.delta(2), (5, 5): aw.delta(2)})
+        with pytest.raises(DimMismatchError):
+            aw.synthesize(bank0, {(0, 0): aw.delta(2), (0, 1): aw.delta(3)})
+        with pytest.raises(ValueError, match="no components"):
+            aw.synthesize(bank0, {})
 
     def test_perfect_reconstruction(self, bank0, bank1, haar_bank):
         rng = np.random.RandomState(17)
@@ -337,6 +347,20 @@ class TestSlopeDigits:
         out = aw.slope_digits(family, (0,), (Fraction(1, 2),), delta)
         assert out.n == 136
         check_against_replay(family, (0,), (Fraction(1, 2),), delta, out)
+
+    def test_tolerance_below_float_range(self, family):
+        # float(delta) is 0.0: the cap comes from delta's numerator and
+        # denominator, and the float achieved_error underflows to 0.0
+        delta = Fraction(1, 10 ** 330)
+        out = aw.slope_digits(family, (0,), (Fraction(1, 2),), delta)
+        assert out.n == 1874 and out.achieved_error == 0.0
+        check_against_replay(family, (0,), (Fraction(1, 2),), delta, out)
+
+    def test_tolerance_above_float_range(self, family):
+        # float(10^400) overflows; any tolerance above the simplex's
+        # diameter is met by the one digit always emitted
+        out = aw.slope_digits(family, (0,), (Fraction(1, 2),), Fraction(10 ** 400))
+        assert out.n == 1
 
     def test_fixed_point(self, family):
         out = aw.slope_digits(family, (0,), (0,), Fraction(1, 10))

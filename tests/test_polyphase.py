@@ -26,7 +26,13 @@ import anisowave as aw
 from anisowave.dictionary import _subdivision_core, analysis_core
 from anisowave.errors import InconclusiveError, WindowTooSmallError
 from anisowave.lattice import IntMatrix, determinant, rational_inverse
-from anisowave.seqcore import CoefSeq, Window, max_abs_diff, polyphase_analysis
+from anisowave.seqcore import (
+    CoefSeq,
+    Window,
+    max_abs_diff,
+    polyphase_analysis,
+    polyphase_subdivision,
+)
 from anisowave.subdivision import SubdivisionOp
 
 # -- the direct oracle -------------------------------------------------------
@@ -75,6 +81,17 @@ def oracle_analysis(c, f, xi):
 
 def oracle_subdivision(c, mask, xi):
     return direct_convolve(mask, oracle_upsample(c, xi))
+
+
+def oracle_sum(pieces):
+    """The pieces added on the smallest box holding all of them."""
+    lo = np.min([p.origin for p in pieces], axis=0)
+    hi = np.max([np.add(p.origin, p.shape) for p in pieces], axis=0)
+    out = np.zeros(hi - lo)
+    for p in pieces:
+        out[tuple(slice(o - l, o - l + n)
+                  for o, l, n in zip(p.origin, lo, p.shape))] += p.data
+    return CoefSeq(tuple(int(x) for x in lo), out)
 
 
 def oracle_cross_qmf(b, b2, xi, same):
@@ -183,6 +200,18 @@ def cases(draw, sparse_signal=False):
     return xi, c, f
 
 
+@st.composite
+def subdivision_sums(draw):
+    """1-3 (part, mask) pairs at their own origins, dense or sparse parts."""
+    s = draw(st.sampled_from([2, 3]))
+    xi = draw(expansive(s))
+    side = 7 if s == 2 else 4
+    pairs = [(draw(sequences(s, side, sparse=draw(st.booleans()))),
+              draw(sequences(s, 3 if s == 2 else 2)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return xi, pairs
+
+
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
@@ -211,6 +240,17 @@ def test_subdivision_of_sparse_data_matches_oracle(case):
     xi, c, mask = case
     got = aw.subdivide(SubdivisionOp(xi, mask), c)
     assert_same(got, oracle_subdivision(c, mask, xi), scale_of(c, mask))
+
+
+@PROPERTY
+@given(subdivision_sums())
+def test_summed_subdivision_matches_oracle(case):
+    # one kernel call adds every pair into one output over the pairs' hull
+    xi, pairs = case
+    parts, masks = zip(*pairs)
+    got = polyphase_subdivision(parts, xi, masks)
+    expect = oracle_sum([oracle_subdivision(c, mask, xi) for c, mask in pairs])
+    assert_same(got, expect, sum(scale_of(c, mask) for c, mask in pairs))
 
 
 @PROPERTY
@@ -257,10 +297,14 @@ def test_sheared_bank_analysis_and_synthesis(bank1):
     for eta, f in bank1.filters.items():
         expect = oracle_analysis(c, f, bank1.xi).scaled(1.0 / bank1.det)
         assert_same(parts[eta], expect, scale_of(c, f) / bank1.det)
+    pieces = []
     for eta, part in parts.items():
         f = bank1.filters[eta]
+        pieces.append(oracle_subdivision(part, f, bank1.xi))
         got = aw.subdivide(SubdivisionOp.from_bank(bank1, eta), part)
-        assert_same(got, oracle_subdivision(part, f, bank1.xi), scale_of(part, f))
+        assert_same(got, pieces[-1], scale_of(part, f))
+    scale = sum(scale_of(parts[eta], f) for eta, f in bank1.filters.items())
+    assert_same(aw.synthesize(bank1, parts), oracle_sum(pieces), scale)
 
 
 def test_sheared_bank_residual_matrix(bank1):

@@ -78,9 +78,10 @@ class TestCascade:
         assert sf.xi_total == IntMatrix.diagonal([27, 8])
         assert sf.level == 3
 
-    def test_cell_cap(self, op0):
+    def test_cell_cap(self, op0, monkeypatch):
+        monkeypatch.setenv("ANISO_CELL_CAP", "1000")
         with pytest.raises(GridTooLargeError):
-            aw.cascade(op0, 8, cell_cap=1000)
+            aw.cascade(op0, 8)
 
 
 class TestWaveletSamples:
