@@ -157,13 +157,16 @@ class AnisoFilterBank:
     filters maps each index eta in Z_sigma1 x ... x Z_sigmas to its
     filter; the all-zero index is the lowpass mask.  The filters are the
     tensor filters of the univariate sets composed with theta1^-1 from
-    the stored Smith factorization.
+    the stored Smith factorization.  sets holds those univariate sets
+    when they are known to build every filter (None otherwise).
     """
 
     xi: IntMatrix
     fact: SmithFactorization
     sigma: tuple[int, ...]
     filters: Mapping[tuple[int, ...], CoefSeq] = field(repr=False)
+    sets: tuple[UnivariateQMFSet, ...] | None = field(default=None, repr=False,
+                                                      compare=False)
 
     @property
     def dim(self) -> int:
@@ -216,21 +219,33 @@ def build_bank(xi: IntMatrix, target_sigma: Sequence[int],
     theta1^-1 so the bank satisfies the QMF identities for xi itself.
     """
     sigma = tuple(int(t) for t in target_sigma)
+    fact = smith_with_target(xi, sigma)
+    sets = tuple(sets)
+    return AnisoFilterBank(xi, fact, sigma, tensor_filters(fact, sets), sets)
+
+
+def tensor_filters(fact: SmithFactorization,
+                   sets: Sequence[UnivariateQMFSet]) -> dict[tuple[int, ...], CoefSeq]:
+    """The filters g_eta(theta1^-1 .) of the sets under the factorization.
+
+    g_eta is the tensor product of filter eta_j of sets[j]; sets[j] must
+    carry scale fact.sigma[j].
+    """
+    sigma = fact.sigma
     if len(sets) != len(sigma):
         raise ScaleMismatchError("one univariate set per diagonal entry required")
     for j, (s_j, uset) in enumerate(zip(sigma, sets)):
         if uset.scale != s_j:
             raise ScaleMismatchError(
                 f"set {j} has scale {uset.scale}, diagonal wants {s_j}")
-    fact = smith_with_target(xi, sigma)
     theta1_inv = inverse_unimodular(fact.theta1)
-    identity = theta1_inv == IntMatrix.identity(xi.dim)
+    identity = theta1_inv == IntMatrix.identity(len(sigma))
 
     filters: dict[tuple[int, ...], CoefSeq] = {}
     for eta in itertools.product(*[range(s_j) for s_j in sigma]):
         g_eta = tensor([sets[j].filters[eta[j]] for j in range(len(sigma))])
         filters[eta] = g_eta if identity else reindex(g_eta, theta1_inv)
-    return AnisoFilterBank(xi, fact, sigma, filters)
+    return filters
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from typing import Any
 
 import numpy as np
 
-from .dictionary import AnisoFilterBank, UnivariateQMFSet
+from .dictionary import AnisoFilterBank, UnivariateQMFSet, tensor_filters
+from .errors import ScaleMismatchError
 from .lattice import IntMatrix, SmithFactorization
 from .seqcore import CoefSeq, Window
 from .subdivision import SampledFunction
@@ -209,6 +210,10 @@ def read_sampled(base_path: str) -> SampledFunction:
 
 # -- univariate sets and banks -----------------------------------------------
 
+def univariate_set_to_json(uset: UnivariateQMFSet) -> dict:
+    return {"scale": uset.scale, "filters": [coefseq_to_json(f) for f in uset.filters]}
+
+
 def univariate_set_from_json(obj: dict) -> UnivariateQMFSet:
     return UnivariateQMFSet(int(obj["scale"]),
                             tuple(coefseq_from_json(f) for f in obj["filters"]))
@@ -230,10 +235,14 @@ def bank_to_json(bank: AnisoFilterBank) -> dict:
         "theta2": matrix_to_json(bank.fact.theta2),
         "filters": {_eta_key(eta): coefseq_to_json(f)
                     for eta, f in bank.filters.items()},
+        "sets": None if bank.sets is None else [univariate_set_to_json(u)
+                                                for u in bank.sets],
     }
 
 
 def bank_from_json(obj: dict) -> AnisoFilterBank:
+    """The bank of a document; its univariate sets are kept only if they
+    rebuild every stored filter, so an edited filter keeps its edit."""
     xi = matrix_from_json(obj["xi"])
     sigma = tuple(int(x) for x in obj["sigma"])
     fact = SmithFactorization(matrix_from_json(obj["theta1"]), sigma,
@@ -242,7 +251,28 @@ def bank_from_json(obj: dict) -> AnisoFilterBank:
         raise ValueError("bank factorization does not reproduce its dilation")
     filters = {_eta_from_key(k): coefseq_from_json(v)
                for k, v in obj["filters"].items()}
-    return AnisoFilterBank(xi, fact, sigma, filters)
+    sets = obj.get("sets")
+    if sets is not None:
+        sets = _rebuilding_sets(fact, sets, filters)
+    return AnisoFilterBank(xi, fact, sigma, filters, sets)
+
+
+def _rebuilding_sets(fact: SmithFactorization, docs: list,
+                     filters: dict[tuple[int, ...], CoefSeq]):
+    """The univariate sets in docs if they build exactly the given filters, else None.
+
+    Exactly means the same boxes and values equal under == (a -0.0
+    written to JSON reads back as 0.0).
+    """
+    try:
+        sets = tuple(univariate_set_from_json(u) for u in docs)
+        rebuilt = tensor_filters(fact, sets)
+    except ScaleMismatchError:
+        return None
+    same = rebuilt.keys() == filters.keys() and all(
+        g.origin == filters[eta].origin and np.array_equal(g.data, filters[eta].data)
+        for eta, g in rebuilt.items())
+    return sets if same else None
 
 
 def write_bank(path: str, bank: AnisoFilterBank):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -355,6 +356,20 @@ def slope_error(family: DilationFamily, eps: Sequence[int],
     return math.sqrt(float(_distsq(_slope_value(family, eps, u), u2)))
 
 
+def _exact_text(q: Fraction) -> str:
+    """Positive q written exactly: a decimal when it terminates (1E-400), else num/den."""
+    rest, twos, fives = q.denominator, 0, 0
+    while rest % 2 == 0:
+        rest, twos = rest // 2, twos + 1
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if rest != 1:
+        return str(q)
+    k = max(twos, fives)
+    digits = q.numerator * 10 ** k // q.denominator
+    return str(Decimal((0, tuple(int(d) for d in str(digits)), -k)))
+
+
 def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
                  delta) -> SlopeDigits:
     """Greedy digit extraction resolving w2 from the reference slope w.
@@ -429,6 +444,6 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
             break
         if len(digits) > cap:
             raise NonTerminationError(
-                f"no digit word of length <= {cap} reached tolerance {float(delta)}")
+                f"no digit word of length <= {cap} reached tolerance {_exact_text(delta)}")
     return SlopeDigits(tuple(digits), len(digits), math.sqrt(float(err_sq)),
                        u, u2)

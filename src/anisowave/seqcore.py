@@ -299,22 +299,32 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     = sum_rho (c_rho x f_rho)(gamma): each tap beta = xi nu + rho reads
     the phase c_rho(mu) = c(xi mu + rho), shifted by nu, as a strided
     view of c.  The lags run over one box holding every lag of every
-    filter, and each result is trimmed to its nonzero support.
+    filter, and each result is trimmed to its nonzero support.  The
+    views read c's own array when every point they reach lies in c's
+    box; only otherwise is c copied into a zero-padded box.  A one-tap
+    filter (``downsample``, ``reindex``) scales its single view.
     """
     hull = _hull(filters)
     box = _analysis_box(xi, c.window, hull)
     if box is None:
         return [CoefSeq((0,) * c.dim, np.zeros((1,) * c.dim)) for _ in filters]
     src_box = _subdivision_box(xi, box, hull)
-    src = embed(c, src_box.lo, src_box.hi)
+    window = c.window
+    if window.contains(src_box.lo) and window.contains(src_box.hi):
+        src, src_lo = c.data, c.origin
+    else:
+        src, src_lo = embed(c, src_box.lo, src_box.hi), src_box.lo
     shape, cells = box.shape, box.cells
     chunk = max(1, _STACK_CELLS // cells)
     out = []
     for f in filters:
         positions, weights = _taps(f)
-        acc = np.zeros(cells)
         if len(weights):
-            view, rows = _shifted_views(src, src_box.lo, xi, box.lo, shape, positions)
+            view, rows = _shifted_views(src, src_lo, xi, box.lo, shape, positions)
+        if len(weights) == 1:
+            acc = view[rows[0]] * weights[0]
+        else:
+            acc = np.zeros(cells)
             for k in range(0, len(weights), chunk):
                 stack = view[rows[k:k + chunk]].reshape(-1, cells)
                 acc += weights[k:k + chunk] @ stack

@@ -6,10 +6,18 @@ refinable limit function on the grid xi^-r Z^s; wavelet limits use one
 highpass step followed by lowpass refinement.  Mixed dilation chains
 (one lowpass step per digit, then a refinement tail) sample the jointly
 refinable limit functions of a dilation family.
+
+Every iteration runs through the polyphase kernel on the full grid,
+with one exception: ``wavelet_samples`` renders a bank whose Smith
+factorization is a similarity in its Smith frame, as a tensor product
+of 1-D cascades written once into the grid (the conjugation identity).
+``conjugation_check`` keeps iterating the sheared scheme through the
+kernel, so the identity that route relies on stays checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,6 +31,7 @@ from .seqcore import (
     CoefSeq,
     Window,
     _check_dilation,
+    _shifted_views,
     _subdivision_box,
     delta,
     downsample,
@@ -61,13 +70,19 @@ def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     return polyphase_subdivision([c], op.xi, [op.mask])
 
 
+def _guarded_box(xi: IntMatrix, window: Window, hull: Window) -> Window:
+    """``_subdivision_box``, refused when it would exceed ANISO_CELL_CAP cells."""
+    cap = int(os.environ.get("ANISO_CELL_CAP", DEFAULT_CELL_CAP))
+    box = _subdivision_box(xi, window, hull)
+    if box.cells > cap:
+        raise GridTooLargeError(
+            f"refinement would need {box.cells} cells (cap {cap})")
+    return box
+
+
 def _guarded_subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     """``subdivide``, refused when its output box would exceed ANISO_CELL_CAP cells."""
-    cap = int(os.environ.get("ANISO_CELL_CAP", DEFAULT_CELL_CAP))
-    cells = _subdivision_box(op.xi, c.window, op.mask.window).cells
-    if cells > cap:
-        raise GridTooLargeError(
-            f"refinement would need {cells} cells (cap {cap})")
+    _guarded_box(op.xi, c.window, op.mask.window)
     return subdivide(op, c)
 
 
@@ -116,15 +131,81 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     """Samples of the wavelet for index eta on the grid xi^-r Z^s.
 
     One subdivision step with the eta filter followed by r-1 lowpass
-    refinements; eta = 0 reproduces the scaling-function cascade.
+    refinements; eta = 0 reproduces the scaling-function cascade.  The
+    window is the box those steps reach, and no step may exceed
+    ANISO_CELL_CAP cells.
+
+    Route: when the factorization is a similarity (theta2 theta1 = I)
+    and the bank knows its univariate sets, every filter is
+    g(theta1^-1 .) for a tensor filter g, and the iterate is the tensor
+    product of one 1-D cascade per axis (scale sigma_j) composed with
+    theta1^-1.  The 1-D cascades are multiplied out once, straight into
+    the zeroed window through a strided view along theta1, which skips
+    the sheared box's padding.  Otherwise the r-1 steps run on the full
+    grid through the polyphase kernel: for non-similar banks, for banks
+    read without trustworthy sets, if the tensor support would not map
+    into the window, and for theta1 = I.  In that last case the
+    scaling function stays bit for bit ``cascade`` of the lowpass, which
+    a product of 1-D cascades matches only to rounding (~1e-15).
+    ``conjugation_check`` never takes this route: it iterates the
+    sheared scheme through the kernel, so the identity the route relies
+    on stays checked rather than assumed.
     """
     if r < 1:
         raise ValueError("wavelet sampling needs r >= 1")
     c = bank.filter_at(eta)
     low = SubdivisionOp.from_bank(bank)
+    total = _matrix_power(bank.xi, r)
+    if _in_frame(bank):
+        window = c.window
+        for _ in range(r - 1):
+            window = _guarded_box(bank.xi, window, low.mask.window)
+        values = _tensor_samples(bank, tuple(int(e) for e in eta), r, window)
+        if values is not None:
+            return SampledFunction(r, total, window, values)
     for _ in range(r - 1):
         c = _guarded_subdivide(low, c)
-    return _as_sampled(c, r, _matrix_power(bank.xi, r))
+    return _as_sampled(c, r, total)
+
+
+def _in_frame(bank: AnisoFilterBank) -> bool:
+    """Whether ``wavelet_samples`` renders the bank as a tensor product."""
+    ident = IntMatrix.identity(bank.dim)
+    theta1, theta2 = bank.fact.theta1, bank.fact.theta2
+    return bank.sets is not None and theta1 != ident and theta2 @ theta1 == ident
+
+
+def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
+                    window: Window) -> np.ndarray | None:
+    """The level-r iterate of filter eta over window, built in the Smith frame.
+
+    Axis j runs the 1-D cascade of filter eta_j of bank.sets[j] (trimmed)
+    with r-1 lowpass steps of dilation sigma_j.  Their outer product t
+    lives on a frame box B, and out(theta1 b) = t(b).  Returns None
+    unless theta1 maps every corner of B into the window: the strided
+    view cannot detect a point that wraps a row.
+    """
+    factors = []
+    for uset, e in zip(bank.sets, eta):
+        u, low = uset.filters[e].trimmed(), uset.filters[0].trimmed()
+        scale = IntMatrix.diagonal([uset.scale])
+        for _ in range(r - 1):
+            u = polyphase_subdivision([u], scale, [low])
+        factors.append(u)
+    lo = tuple(u.origin[0] for u in factors)
+    shape = tuple(u.shape[0] for u in factors)
+    theta1 = bank.fact.theta1
+    corners = itertools.product(*[(l, l + n - 1) for l, n in zip(lo, shape)])
+    if not all(window.contains(theta1.apply(p)) for p in corners):
+        return None
+    out = np.zeros(window.shape)
+    view, rows = _shifted_views(out, window.lo, theta1, lo, shape,
+                                np.zeros((1, bank.dim), dtype=np.int64))
+    head = np.ones(())
+    for u in factors[:-1]:
+        head = np.multiply.outer(head, u.data)
+    np.multiply.outer(head, factors[-1].data, out=view[rows[0]])
+    return out
 
 
 def convergence_diagnostic(op: SubdivisionOp, r_max: int) -> list[float]:

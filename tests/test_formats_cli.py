@@ -10,7 +10,7 @@ import pytest
 import anisowave as aw
 from anisowave import formats
 from anisowave.cli import main
-from anisowave.seqcore import CoefSeq, max_abs_diff
+from anisowave.seqcore import CoefSeq, max_abs_diff, polyphase_subdivision
 
 XI1_JSON = "[[3,-1],[0,2]]"
 
@@ -123,6 +123,63 @@ class TestBankJson:
         formats.write_bank(p1, bank0)
         formats.write_bank(p2, bank0)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestBankSets:
+    """The univariate sets a bank file carries, kept only if they rebuild it."""
+
+    @pytest.fixture()
+    def doc(self, tmp_path, bank1):
+        path = str(tmp_path / "bank.json")
+        formats.write_bank(path, bank1)
+        return json.load(open(path))
+
+    def load(self, tmp_path, doc):
+        path = str(tmp_path / "edited.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return formats.read_bank(path)
+
+    def test_round_trip_keeps_sets(self, tmp_path, bank0, bank1):
+        for bank in (bank0, bank1):
+            path = str(tmp_path / "bank.json")
+            formats.write_bank(path, bank)
+            back = formats.read_bank(path)
+            assert back.sets is not None and len(back.sets) == len(bank.sets)
+            for got, want in zip(back.sets, bank.sets):
+                assert got.scale == want.scale
+                for g, w in zip(got.filters, want.filters):
+                    assert g.origin == w.origin and np.array_equal(g.data, w.data)
+            # the read bank renders exactly as the built one
+            for eta in bank.indices():
+                a = aw.wavelet_samples(back, eta, 3)
+                b = aw.wavelet_samples(bank, eta, 3)
+                assert a.window == b.window and np.array_equal(a.values, b.values)
+
+    def test_edited_filter_drops_sets(self, tmp_path, doc, bank1):
+        doc["filters"]["1,1"]["data"][0] += 1e-3
+        back = self.load(tmp_path, doc)
+        assert back.sets is None
+        # the edited filter is what gets rendered
+        sf = aw.wavelet_samples(back, (1, 1), 2)
+        expect = polyphase_subdivision([back.filters[(1, 1)]], back.xi, [back.lowpass])
+        assert sf.window == expect.window and np.array_equal(sf.values, expect.data)
+        assert not np.array_equal(sf.values, aw.wavelet_samples(bank1, (1, 1), 2).values)
+
+    def test_edited_set_drops_sets(self, tmp_path, doc):
+        doc["sets"][1]["filters"][0]["data"][0] += 1e-3
+        assert self.load(tmp_path, doc).sets is None
+
+    def test_set_of_wrong_scale_drops_sets(self, tmp_path, doc):
+        doc["sets"].reverse()
+        assert self.load(tmp_path, doc).sets is None
+
+    def test_file_without_sets_loads(self, tmp_path, doc, bank1):
+        del doc["sets"]
+        back = self.load(tmp_path, doc)
+        assert back.sets is None
+        for eta in bank1.indices():
+            assert max_abs_diff(back.filters[eta], bank1.filters[eta]) == 0.0
 
 
 class TestPgm:
@@ -499,6 +556,13 @@ class TestCliSlope:
                      "--w2", "0.5", "--delta", "1e-400"]) == 0
         out = capsys.readouterr().out
         assert "length : 2271" in out and "error  : 0.000000e+00" in out
+
+    def test_non_termination_names_exact_tolerance(self, capsys):
+        # 1e-400 is below the float range: float() of it would print 0.0
+        assert main(["slope", "--sigma1", "5", "--sigma2", "2", "--w", "0",
+                     "--w2", "0.55", "--delta", "1e-400"]) == 1
+        err = capsys.readouterr().err
+        assert "reached tolerance 1E-400" in err
 
     def test_out_of_simplex_exit_2(self):
         assert main(["slope", "--sigma1", "3", "--sigma2", "2", "--dim", "2",

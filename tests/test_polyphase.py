@@ -288,6 +288,17 @@ def test_resampling_matches_oracle(case):
     assert_same(aw.upsample(c, xi), oracle_upsample(c, xi), 1.0, tol=0.0)
 
 
+@PROPERTY
+@given(cases(), st.data())
+def test_reindex_matches_oracle_exactly(case, data):
+    # one-tap analysis scales a strided view of c, read in place when it fits
+    _, c, _ = case
+    theta = _unimodular(data.draw, c.dim)
+    got = aw.reindex(c, theta)
+    assert_same(got, oracle_gather(c, theta), 1.0, tol=0.0)
+    assert not np.shares_memory(got.data, c.data)
+
+
 # -- the worked sheared bank -------------------------------------------------
 
 def test_sheared_bank_analysis_and_synthesis(bank1):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import anisowave as aw
+from anisowave import subdivision
+from anisowave.dictionary import univariate_sets_from_names
 from anisowave.errors import GridMismatchError, GridTooLargeError
-from anisowave.lattice import IntMatrix
-from anisowave.seqcore import CoefSeq, max_abs_diff
+from anisowave.lattice import IntMatrix, inverse_unimodular
+from anisowave.seqcore import CoefSeq, max_abs_diff, polyphase_subdivision
 from anisowave.subdivision import SubdivisionOp, _matrix_power
 
 
@@ -172,3 +176,105 @@ class TestGram:
         phi = aw.wavelet_samples(bank0, (0, 0), 5)
         psi = aw.wavelet_samples(bank0, (1, 0), 5)
         assert abs(aw.gram_check(phi, psi, (0, 0))) < 1e-10
+
+
+# -- the Smith-frame (tensor) route of wavelet_samples -------------------------
+
+#: diagonals of the similarity banks under test, with fitting families
+SIMILAR = {(3, 2): ("cl3", "db2"), (3, 2, 2): ("cl3", "db2", "haar")}
+
+
+def kernel_samples(bank, eta, r):
+    """The oracle: the eta filter, then r-1 plain lowpass steps of the kernel."""
+    c = bank.filter_at(eta)
+    for _ in range(r - 1):
+        c = polyphase_subdivision([c], bank.xi, [bank.lowpass])
+    return c
+
+
+def assert_matches_kernel(bank, eta, r):
+    sf = aw.wavelet_samples(bank, eta, r)
+    expect = kernel_samples(bank, eta, r)
+    assert sf.window == expect.window
+    assert sf.xi_total == _matrix_power(bank.xi, r)
+    gap = float(np.abs(sf.values - expect.data).max())
+    assert gap <= 1e-13 * expect.linf(), f"xi {bank.xi.entries}, eta {eta}, r {r}"
+
+
+def renders_in_frame(bank, eta, r):
+    """Whether wavelet_samples takes the tensor route for this render."""
+    window = kernel_samples(bank, eta, r).window
+    return (subdivision._in_frame(bank)
+            and subdivision._tensor_samples(bank, tuple(eta), r, window) is not None)
+
+
+@st.composite
+def similarity_banks(draw):
+    """Banks for xi = U diag(sigma) U^-1 whose renders take the tensor route."""
+    sigma = draw(st.sampled_from(sorted(SIMILAR)))
+    s = len(sigma)
+    u = IntMatrix.identity(s)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.permutations(range(s)))[:2]
+        rows = [[int(a == b) for b in range(s)] for a in range(s)]
+        rows[i][j] = draw(st.sampled_from([-1, 1]))
+        u = IntMatrix.from_rows(rows) @ u
+    xi = u @ IntMatrix.diagonal(sigma) @ inverse_unimodular(u)
+    bank = aw.build_bank(xi, sigma, univariate_sets_from_names(SIMILAR[sigma]))
+    assume(subdivision._in_frame(bank))
+    return bank
+
+
+@settings(max_examples=40, deadline=None)
+@given(similarity_banks(), st.data())
+def test_tensor_route_matches_kernel(bank, data):
+    eta = data.draw(st.sampled_from(bank.indices()))
+    r = data.draw(st.integers(1, 5 if bank.dim == 2 else 4))
+    assert renders_in_frame(bank, eta, r)
+    assert_matches_kernel(bank, eta, r)
+
+
+class TestTensorRoute:
+    def test_worked_banks_match_kernel(self, bank0, bank1, haar_bank):
+        assert subdivision._in_frame(bank1)
+        for bank in (bank0, bank1, haar_bank):
+            for r in (1, 2, 5):
+                for eta in bank.indices():
+                    assert_matches_kernel(bank, eta, r)
+
+    def test_composed_branch_bank_matches_kernel(self):
+        sets = univariate_sets_from_names(["db2", "db2"])
+        bank = aw.build_bank(IntMatrix.from_rows([[2, 2], [0, 2]]), (2, 2), sets)
+        assert not subdivision._in_frame(bank)  # theta2 theta1 != I: the kernel path
+        for r in (1, 3, 5):
+            for eta in bank.indices():
+                assert_matches_kernel(bank, eta, r)
+
+    def test_sets_wider_than_the_window_fall_back(self, bank1, sets):
+        # sets claiming db2 on the 2-axis, filters built with haar: the
+        # frame box reaches past the window, so the kernel renders the filters
+        narrow = aw.build_bank(bank1.xi, (3, 2), (sets[0], aw.haar()))
+        bank = aw.AnisoFilterBank(bank1.xi, bank1.fact, bank1.sigma,
+                                  narrow.filters, bank1.sets)
+        for eta in ((0, 0), (2, 1)):
+            assert not renders_in_frame(bank, eta, 3)
+            sf = aw.wavelet_samples(bank, eta, 3)
+            expect = kernel_samples(bank, eta, 3)
+            assert sf.window == expect.window
+            assert np.array_equal(sf.values, expect.data)
+
+    def test_cell_cap(self, bank1, monkeypatch):
+        assert renders_in_frame(bank1, (0, 0), 2)
+        monkeypatch.setenv("ANISO_CELL_CAP", "500")
+        aw.wavelet_samples(bank1, (0, 0), 2)
+        with pytest.raises(GridTooLargeError):
+            aw.wavelet_samples(bank1, (0, 0), 6)
+
+    def test_conjugation_check_runs_the_kernel(self, bank1, monkeypatch):
+        # the sheared side of the identity is iterated, not rebuilt from it
+        def refuse(*args):
+            raise AssertionError("tensor route used")
+        monkeypatch.setattr(subdivision, "_tensor_samples", refuse)
+        assert aw.conjugation_check(bank1, 3) <= 1e-12
+        with pytest.raises(AssertionError):
+            aw.wavelet_samples(bank1, (0, 0), 3)
