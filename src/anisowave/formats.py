@@ -45,6 +45,8 @@ def _render(obj: Any) -> str:
         x = float(obj)
         if not math.isfinite(x):
             raise ValueError("cannot serialize non-finite float")
+        if x == 0 and math.copysign(1.0, x) < 0:
+            return "-0.0"  # "-0" would read back as the integer 0
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -261,8 +263,9 @@ def _rebuilding_sets(fact: SmithFactorization, docs: list,
                      filters: dict[tuple[int, ...], CoefSeq]):
     """The univariate sets in docs if they build exactly the given filters, else None.
 
-    Exactly means the same boxes and values equal under == (a -0.0
-    written to JSON reads back as 0.0).
+    Exactly means the same boxes and values equal under ==, which also
+    accepts files written before -0.0 kept its sign: they hold 0 where
+    the rebuilt filter holds -0.0.
     """
     try:
         sets = tuple(univariate_set_from_json(u) for u in docs)

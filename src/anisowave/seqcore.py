@@ -16,14 +16,21 @@ the lags on xi Z^s) reads one such view per tap, and subdivision
 (``polyphase_subdivision``: spread onto xi Z^s, then convolve) adds into
 one per tap.  The two directions are adjoint: analysis takes every
 filter of a bank in one call, and subdivision sums every (component,
-filter) pair into one output in one call.  Every multiply-add pairs a
-nonzero tap with a sample on the coarse lattice: nothing is computed
-and then thrown away, and no upsampled grid of zeros is built.  The
-public operations are special cases: ``convolve`` is subdivision with
-xi = I, ``upsample`` is subdivision with the pulse as mask, and
-``downsample`` and ``reindex`` are analysis with the pulse as the only
-filter.  The box of a step (``_analysis_box``, ``_subdivision_box``) is
-computed here only; the other modules ask for it.  Only numpy is needed.
+filter) pair into one output in one call.  Like a polyphase filterbank,
+a call works per tap for all of its operands at once: analysis gathers
+the view of each tap of the filters' union once and takes every
+filter's lags from that one stack, and subdivision combines all parts
+at each tap of the masks' union with one dot product and adds them into
+the output with one strided add.  Every multiply-add pairs a tap with a
+sample on the coarse lattice: nothing is computed and then thrown away,
+and no upsampled grid of zeros is built.  The public operations are
+special cases with one operand, which take the per-filter path without
+the union: ``convolve`` is subdivision with xi = I, ``upsample`` is
+subdivision with the pulse as mask, and ``downsample`` and ``reindex``
+are analysis with the pulse as the only filter.  The box of a step is
+computed here only, on plain (lo, hi) tuples inside the kernel;
+``_analysis_box`` and ``_subdivision_box`` give it to the other modules
+as a ``Window``.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -170,41 +177,78 @@ def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
     return convolve(a, b.reversed())
 
 
-def _preimage_box(m: IntMatrix, window: Window) -> Window | None:
-    """Integer bounding box of m^-1 applied to the window (None if empty)."""
+# Boxes inside the kernel are plain (lo, hi) tuples of inclusive corners:
+# the kernel builds several per call, and a validated ``Window`` costs
+# about a microsecond each.  ``Window`` stays the type at the API.
+Box = tuple[Vec, Vec]
+
+
+def _seq_box(c: CoefSeq) -> Box:
+    return c.origin, tuple(o + n - 1 for o, n in zip(c.origin, c.data.shape))
+
+
+def _box_hull(boxes: Iterable[Box]) -> Box:
+    """Smallest box containing every box."""
+    los, his = zip(*boxes)
+    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+
+def _box_shape(box: Box) -> Vec:
+    return tuple(h - l + 1 for l, h in zip(*box))
+
+
+def _preimage(m: IntMatrix, lo: Sequence[int], hi: Sequence[int]) -> Box | None:
+    """Integer bounding box of m^-1 applied to the box [lo, hi] (None if empty)."""
     adj, den = _integer_inverse(m)
     corners = [tuple(sum(a * x for a, x in zip(row, c)) for row in adj)
-               for c in itertools.product(*zip(window.lo, window.hi))]
+               for c in itertools.product(*zip(lo, hi))]
     lo = tuple(-(-min(c[i] for c in corners) // den) for i in range(m.dim))
     hi = tuple(max(c[i] for c in corners) // den for i in range(m.dim))
-    return None if any(l > h for l, h in zip(lo, hi)) else Window(lo, hi)
+    return None if any(l > h for l, h in zip(lo, hi)) else (lo, hi)
 
 
-def _hull(seqs: Sequence[CoefSeq]) -> Window:
-    """Smallest box containing the box of every sequence."""
-    s = range(seqs[0].dim)
-    return Window(tuple(min(f.origin[i] for f in seqs) for i in s),
-                  tuple(max(f.origin[i] + f.shape[i] - 1 for f in seqs) for i in s))
-
-
-def _analysis_box(xi: IntMatrix, window: Window, hull: Window) -> Window | None:
+def _lag_box(xi: IntMatrix, window: Box, hull: Box) -> Box | None:
     """Lags gamma of one analysis step at which a filter tap can meet data.
 
     The box of xi^-1 (window - hull): every gamma with xi gamma + beta in
     the window for some beta in the filters' hull (None if empty).
     """
-    return _preimage_box(xi, Window(tuple(w - h for w, h in zip(window.lo, hull.hi)),
-                                    tuple(w - h for w, h in zip(window.hi, hull.lo))))
+    (wlo, whi), (hlo, hhi) = window, hull
+    return _preimage(xi, tuple(w - h for w, h in zip(wlo, hhi)),
+                     tuple(w - h for w, h in zip(whi, hlo)))
+
+
+def _image_box(xi: IntMatrix, window: Box, hull: Box) -> Box:
+    """Output box of one subdivision step: xi applied to the window, plus the hull."""
+    (wlo, whi), (hlo, hhi) = window, hull
+    lo = tuple(sum(min(a * l, a * h) for a, l, h in zip(row, wlo, whi))
+               for row in xi.entries)
+    hi = tuple(sum(max(a * l, a * h) for a, l, h in zip(row, wlo, whi))
+               for row in xi.entries)
+    return (tuple(a + b for a, b in zip(lo, hlo)),
+            tuple(a + b for a, b in zip(hi, hhi)))
+
+
+def _preimage_box(m: IntMatrix, window: Window) -> Window | None:
+    """``Window`` form of ``_preimage``."""
+    box = _preimage(m, window.lo, window.hi)
+    return None if box is None else Window(*box)
+
+
+def _hull(seqs: Sequence[CoefSeq]) -> Window:
+    """Smallest window containing the box of every sequence."""
+    return Window(*_box_hull(map(_seq_box, seqs)))
+
+
+def _analysis_box(xi: IntMatrix, window: Window, hull: Window) -> Window | None:
+    """``Window`` form of ``_lag_box``."""
+    box = _lag_box(xi, (window.lo, window.hi), (hull.lo, hull.hi))
+    return None if box is None else Window(*box)
 
 
 def _subdivision_box(xi: IntMatrix, window: Window, hull: Window) -> Window:
-    """Output box of one subdivision step: xi applied to the window, plus the hull."""
-    lo = tuple(sum(min(a * l, a * h) for a, l, h in zip(row, window.lo, window.hi))
-               for row in xi.entries)
-    hi = tuple(sum(max(a * l, a * h) for a, l, h in zip(row, window.lo, window.hi))
-               for row in xi.entries)
-    return Window(tuple(a + b for a, b in zip(lo, hull.lo)),
-                  tuple(a + b for a, b in zip(hi, hull.hi)))
+    """``Window`` form of ``_image_box``."""
+    return Window(*_image_box(xi, (window.lo, window.hi), (hull.lo, hull.hi)))
 
 
 def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
@@ -291,6 +335,33 @@ def _taps(f: CoefSeq) -> tuple[np.ndarray, np.ndarray]:
     return np.argwhere(nz) + np.asarray(f.origin, dtype=np.int64), f.data[nz]
 
 
+def _union_taps(seqs: Sequence[CoefSeq], hull: Box) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, weights) of the taps that are nonzero in some sequence.
+
+    positions[k] runs over the union of the sequences' nonzero taps
+    within their hull, in lexicographic order, and weights[j, k] is
+    seqs[j]'s value there (zero where only other sequences have a tap).
+    One sequence takes ``_taps`` directly: no hull array is built.
+    """
+    if len(seqs) == 1:
+        positions, weights = _taps(seqs[0])
+        return positions, weights[None]
+    dense = _stacked(seqs, hull)
+    nz = (dense != 0).any(axis=0)
+    # C order keeps each weight row contiguous, as ``_taps`` gives it
+    weights = np.ascontiguousarray(dense[:, nz])
+    return np.argwhere(nz) + np.asarray(hull[0], dtype=np.int64), weights
+
+
+def _stacked(seqs: Sequence[CoefSeq], box: Box) -> np.ndarray:
+    """The sequences as rows of one zero-padded array over a box holding them all."""
+    out = np.zeros((len(seqs), *_box_shape(box)))
+    for row, f in zip(out, seqs):
+        row[tuple(slice(o - l, o - l + n)
+                  for o, l, n in zip(f.origin, box[0], f.shape))] = f.data
+    return out
+
+
 def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
                        filters: Sequence[CoefSeq]) -> list[CoefSeq]:
     """The correlation of c with each filter f, kept on the lags xi Z^s.
@@ -298,38 +369,43 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     Component(gamma) = sum_beta f(beta) c(xi gamma + beta)
     = sum_rho (c_rho x f_rho)(gamma): each tap beta = xi nu + rho reads
     the phase c_rho(mu) = c(xi mu + rho), shifted by nu, as a strided
-    view of c.  The lags run over one box holding every lag of every
-    filter, and each result is trimmed to its nonzero support.  The
-    views read c's own array when every point they reach lies in c's
-    box; only otherwise is c copied into a zero-padded box.  A one-tap
-    filter (``downsample``, ``reindex``) scales its single view.
+    view of c.  The filters share their input phases: the taps of all
+    filters are split once into their union, each union tap's view is
+    gathered once into one stack, and each filter's lags are its own
+    weight row (zero at the taps it lacks) times that stack.  The lags
+    run over one box holding every lag of every filter, and each result
+    is trimmed to its nonzero support.  The views read c's own array
+    when every point they reach lies in c's box; only otherwise is c
+    copied into a zero-padded box.  A one-tap filter (``downsample``,
+    ``reindex``) scales its single view.
     """
-    hull = _hull(filters)
-    box = _analysis_box(xi, c.window, hull)
+    hull = _box_hull(map(_seq_box, filters))
+    c_box = _seq_box(c)
+    box = _lag_box(xi, c_box, hull)
     if box is None:
         return [CoefSeq((0,) * c.dim, np.zeros((1,) * c.dim)) for _ in filters]
-    src_box = _subdivision_box(xi, box, hull)
-    window = c.window
-    if window.contains(src_box.lo) and window.contains(src_box.hi):
-        src, src_lo = c.data, c.origin
+    lo = box[0]
+    src_lo, src_hi = _image_box(xi, box, hull)
+    c_lo, c_hi = c_box
+    if all(a <= b for a, b in zip(c_lo + src_hi, src_lo + c_hi)):  # inside c's box
+        src, src_lo = c.data, c_lo
     else:
-        src, src_lo = embed(c, src_box.lo, src_box.hi), src_box.lo
-    shape, cells = box.shape, box.cells
-    chunk = max(1, _STACK_CELLS // cells)
-    out = []
-    for f in filters:
-        positions, weights = _taps(f)
-        if len(weights):
-            view, rows = _shifted_views(src, src_lo, xi, box.lo, shape, positions)
-        if len(weights) == 1:
-            acc = view[rows[0]] * weights[0]
-        else:
-            acc = np.zeros(cells)
-            for k in range(0, len(weights), chunk):
-                stack = view[rows[k:k + chunk]].reshape(-1, cells)
-                acc += weights[k:k + chunk] @ stack
-        out.append(CoefSeq(box.lo, acc.reshape(shape)).trimmed())
-    return out
+        src = embed(c, src_lo, src_hi)
+    shape = _box_shape(box)
+    cells = math.prod(shape)
+    positions, weights = _union_taps(filters, hull)
+    if len(positions):
+        view, rows = _shifted_views(src, src_lo, xi, lo, shape, positions)
+    if len(positions) == 1:
+        accs = [view[rows[0]] * w[0] for w in weights]
+    else:
+        accs = np.zeros((len(filters), cells))
+        chunk = max(1, _STACK_CELLS // cells)
+        for k in range(0, len(positions), chunk):
+            stack = view[rows[k:k + chunk]].reshape(-1, cells)
+            for acc, w in zip(accs, weights):
+                acc += w[k:k + chunk] @ stack
+    return [CoefSeq(lo, acc.reshape(shape)).trimmed() for acc in accs]
 
 
 def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
@@ -344,33 +420,62 @@ def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
     pair the loop runs over the operand with fewer nonzeros: when c has
     fewer than the mask (a few samples spread by a large dilation), each
     nonzero c(alpha) adds a scaled copy of the mask at xi alpha instead.
-    Every pair adds into one output over the hull of the pairs' boxes
-    (xi applied to c's window, widened by the mask window), untrimmed.
+    When several pairs loop over mask taps, they share the loop: per
+    tap of the union of their masks, one dot product combines all of
+    their parts (embedded in the parts' hull) into a scratch buffer,
+    and one strided add writes it.  The output is the sum over the hull
+    of the pairs' boxes (xi applied to c's window, widened by the mask
+    window), untrimmed.
     """
     boxes = []
     for c, mask in zip(parts, masks, strict=True):
         _check_dims(c, mask)
-        boxes.append(_subdivision_box(xi, c.window, mask.window))
+        boxes.append(_image_box(xi, _seq_box(c), _seq_box(mask)))
     if not boxes:
         raise ValueError("no components to subdivide")
-    box = Window(tuple(min(x) for x in zip(*(b.lo for b in boxes))),
-                 tuple(max(x) for x in zip(*(b.hi for b in boxes))))
-    out = np.zeros(box.shape)
-    for c, mask in zip(parts, masks):
-        if np.count_nonzero(c.data) < np.count_nonzero(mask.data):
+    box = out_box = _box_hull(boxes)
+    by_mask = [np.count_nonzero(c.data) >= np.count_nonzero(mask.data)
+               for c, mask in zip(parts, masks)]
+    shared = sum(by_mask) > 1
+    if shared:
+        group = [k for k, flag in enumerate(by_mask) if flag]
+        part_hull = _box_hull(_seq_box(parts[k]) for k in group)
+        mask_hull = _box_hull(_seq_box(masks[k]) for k in group)
+        # the parts' hull can reach cells outside every pair's box; those
+        # receive only zeros and are cut off below
+        out_box = _box_hull((box, _image_box(xi, part_hull, mask_hull)))
+    out = np.zeros(_box_shape(out_box))
+    for c, mask, flag in zip(parts, masks, by_mask):
+        if flag and shared:
+            continue
+        if flag:
+            shifts, weights = _taps(mask)
+            src, step = c, xi
+        else:
             positions, weights = _taps(c)
             shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
             src, step = mask, IntMatrix.identity(c.dim)
-        else:
-            shifts, weights = _taps(mask)
-            src, step = c, xi
         if len(weights):
-            view, rows = _shifted_views(out, box.lo, step, src.origin, src.shape, shifts)
+            view, rows = _shifted_views(out, out_box[0], step, src.origin, src.shape,
+                                        shifts)
             scaled = np.empty(src.shape)
             for row, w in zip(rows, weights):
                 target = view[row]
                 target += np.multiply(src.data, w, out=scaled)
-    return CoefSeq(box.lo, out)
+    if shared:
+        shifts, weights = _union_taps([masks[k] for k in group], mask_hull)
+        shape = _box_shape(part_hull)
+        stack = _stacked([parts[k] for k in group], part_hull).reshape(len(group), -1)
+        if len(shifts):
+            view, rows = _shifted_views(out, out_box[0], xi, part_hull[0], shape, shifts)
+            scratch = np.empty(stack.shape[1])
+            for row, w in zip(rows, np.ascontiguousarray(weights.T)):
+                target = view[row]
+                target += np.dot(w, stack, out=scratch).reshape(shape)
+    if out_box != box:
+        out = out[tuple(slice(l - o, h - o + 1)
+                        for l, h, o in zip(*box, out_box[0]))]
+    return CoefSeq(box[0], out)
 
 
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -37,6 +38,11 @@ class TestCanonicalJson:
         vals = rng.randn(50).tolist()
         back = json.loads(formats.dumps(vals))
         assert back == vals
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert formats.dumps([-0.0, 0.0]) == "[-0.0,0]"
+        back = json.loads(formats.dumps(-0.0))
+        assert isinstance(back, float) and math.copysign(1.0, back) < 0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -117,6 +123,16 @@ class TestBankJson:
         assert back.sigma == bank1.sigma
         for eta in bank1.indices():
             assert max_abs_diff(back.filters[eta], bank1.filters[eta]) == 0.0
+
+    def test_roundtrip_keeps_negative_zeros(self, tmp_path, bank0):
+        # the cl3/db2 bank on diag(3, 2) holds -0.0 taps
+        assert any(np.signbit(f.data[f.data == 0]).any() for f in bank0.filters.values())
+        path = str(tmp_path / "bank.json")
+        formats.write_bank(path, bank0)
+        back = formats.read_bank(path)
+        for eta, f in bank0.filters.items():
+            assert back.filters[eta].origin == f.origin
+            assert back.filters[eta].data.tobytes() == f.data.tobytes()
 
     def test_byte_identical_rewrites(self, tmp_path, bank0):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -212,6 +212,33 @@ def subdivision_sums(draw):
     return xi, pairs
 
 
+@st.composite
+def filter_sets(draw):
+    """A signal and 1-3 filters with their own origins and shapes.
+
+    Sparse filters leave some taps of the union of their supports to
+    the others; half of the draws give every filter the first one's
+    nonzero support instead, so each fills the union.
+    """
+    s = draw(st.sampled_from([2, 3]))
+    xi = draw(expansive(s))
+    c = draw(sequences(s, 7 if s == 2 else 4))
+    side = 3 if s == 2 else 2
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        first = draw(sequences(s, side))
+        rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+        others = [CoefSeq(first.origin, rng.randn(*first.shape) * (first.data != 0))
+                  for _ in range(count - 1)]
+        return xi, c, [first] + others
+    return xi, c, [draw(sequences(s, side, sparse=draw(st.booleans())))
+                   for _ in range(count)]
+
+
+def nonzero_taps(f):
+    return {tuple(p) for p in np.argwhere(f.data != 0) + f.origin}
+
+
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
@@ -223,6 +250,23 @@ def test_analysis_matches_oracle(case):
     xi, c, f = case
     got = polyphase_analysis(c, xi, [f])[0]
     assert_same(got, oracle_analysis(c, f, xi), scale_of(c, f))
+
+
+@PROPERTY
+@given(filter_sets())
+def test_multi_filter_analysis_matches_oracle_and_single_calls(case):
+    # the filters share one stack of union taps, a filter lacking a tap
+    # weighs it with zero; with no such zeros the sums are the same
+    xi, c, filters = case
+    got = polyphase_analysis(c, xi, filters)
+    fills = all(nonzero_taps(f) == nonzero_taps(filters[0]) for f in filters)
+    for f, part in zip(filters, got, strict=True):
+        assert_same(part, oracle_analysis(c, f, xi), scale_of(c, f))
+        single = polyphase_analysis(c, xi, [f])[0]
+        if fills:
+            assert part.origin == single.origin and np.array_equal(part.data, single.data)
+        else:
+            assert_same(part, single, scale_of(c, f), tol=1e-15)
 
 
 @PROPERTY
