@@ -13,14 +13,23 @@ Subcommands::
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 3 resource cap exceeded.  ANISO_CELL_CAP sets the refinement grid cell
 cap.
+
+Repeated ``main`` calls in one process build the parser once and reuse
+the banks of a transform config whose content is unchanged: the last
+few configs are kept, keyed by their scales, signs and univariate
+filter values, with read-only filter arrays.  ``reconstruct`` still
+checks the tree's config digest against the banks it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 from . import formats, mmra
@@ -195,13 +204,42 @@ def cmd_cascade(args) -> int:
 
 # -- transform ---------------------------------------------------------------
 
+#: transform configs whose banks are kept, most recently used last
+_CONFIG_CACHE_SIZE = 8
+_config_cache: OrderedDict[tuple, mmra.MMRAConfig] = OrderedDict()
+
+
 def _config_from_json(obj: dict, depth=None, path=None) -> mmra.MMRAConfig:
+    """The config of a JSON document, its banks reused while its content holds.
+
+    The key is everything the family and banks are built from: the
+    scales, the signs (None reads as all zeros, and repr keeps 1, 1.0
+    and true apart as the digest does) and every resolved filter's
+    origin and bytes, so an edited custom family file misses.  depth
+    and path belong to the call.
+    """
     sets = univariate_sets_from_names(obj["families"])
     depth = depth if depth is not None else obj.get("depth")
     path = path if path is not None else obj.get("path")
-    return mmra.build_config(int(obj["sigma1"]), int(obj["sigma2"]),
-                             int(obj["s"]), obj.get("signs"),
-                             sets, depth, path)
+    sigma1, sigma2, s = int(obj["sigma1"]), int(obj["sigma2"]), int(obj["s"])
+    signs = obj.get("signs")
+    key = (sigma1, sigma2, s,
+           repr((0,) * (s - 1) if signs is None else tuple(signs)),
+           tuple((u.scale, tuple((f.origin, f.data.tobytes()) for f in u.filters))
+                 for u in sets))
+    config = _config_cache.get(key)
+    if config is None:
+        config = mmra.build_config(sigma1, sigma2, s, signs, sets)
+        for bank in config.banks:
+            for f in bank.filters.values():
+                f.data.flags.writeable = False
+        _config_cache[key] = config
+        if len(_config_cache) > _CONFIG_CACHE_SIZE:
+            _config_cache.popitem(last=False)
+    else:
+        _config_cache.move_to_end(key)
+    return dataclasses.replace(config, depth=depth,
+                               path=None if path is None else tuple(path))
 
 
 def _load_signal(path: str) -> CoefSeq:
@@ -305,6 +343,7 @@ def cmd_slope(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="aniso",
                      description="anisotropic wavelet filterbank toolkit")

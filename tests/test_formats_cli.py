@@ -4,12 +4,13 @@ import os
 import struct
 import subprocess
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import anisowave as aw
-from anisowave import formats
+from anisowave import cli, formats
 from anisowave.cli import main
 from anisowave.seqcore import CoefSeq, max_abs_diff, polyphase_subdivision
 
@@ -546,6 +547,103 @@ class TestCliTransform:
             if name.endswith(".grid"):
                 assert (open(os.path.join(t1, name), "rb").read()
                         == open(os.path.join(t2, name), "rb").read())
+
+
+def tree_files(tree):
+    return {name: open(os.path.join(tree, name), "rb").read()
+            for name in sorted(os.listdir(tree))}
+
+
+class TestCliReuse:
+    """Repeated in-process calls share one parser and the banks of a config."""
+
+    def test_edited_family_file_exit_2(self, signal_file, tmp_path, capsys):
+        custom = str(tmp_path / "mydb2.json")
+        family = {"scale": 2,
+                  "filters": [formats.coefseq_to_json(f) for f in aw.daubechies2().filters]}
+        with open(custom, "w") as fh:
+            fh.write(formats.dumps(family))
+        config = str(tmp_path / "config.json")
+        with open(config, "w") as fh:
+            json.dump({"sigma1": 3, "sigma2": 2, "s": 2,
+                       "families": ["cl3", custom], "depth": 1}, fh)
+        tree = str(tmp_path / "tree")
+        assert main(["transform", "decompose", config, signal_file, "-o", tree]) == 0
+        # same file name, one filter value changed: the banks must be rebuilt
+        family["filters"][1]["data"][0] += 1e-3
+        with open(custom, "w") as fh:
+            fh.write(formats.dumps(family))
+        capsys.readouterr()
+        assert main(["transform", "reconstruct", tree,
+                     "-o", str(tmp_path / "r.grid")]) == 2
+        assert "config" in capsys.readouterr().err
+
+    def test_signs_change_the_digest(self, config_file, signal_file, tmp_path):
+        digests = []
+        for signs in ([0], [1]):
+            config = str(tmp_path / f"config{signs[0]}.json")
+            with open(config, "w") as fh:
+                json.dump({"sigma1": 3, "sigma2": 2, "s": 2, "signs": signs,
+                           "families": ["cl3", "db2"], "depth": 1}, fh)
+            tree = str(tmp_path / f"tree{signs[0]}")
+            assert main(["transform", "decompose", config, signal_file, "-o", tree]) == 0
+            manifest = json.load(open(os.path.join(tree, "manifest.json")))
+            digests.append(manifest["config_digest"])
+        assert digests[0] != digests[1]
+
+    def test_cached_banks_are_read_only(self, config_file, signal_file, tmp_path):
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", str(tmp_path / "tree"), "--depth", "1"]) == 0
+        obj = json.load(open(config_file))
+        config, again = cli._config_from_json(obj), cli._config_from_json(obj, depth=1)
+        assert again.banks is config.banks and (config.depth, again.depth) == (2, 1)
+        for bank in config.banks:
+            with pytest.raises(ValueError):
+                bank.lowpass.data[(0,) * bank.dim] = 1.0
+        # the library itself stays uncached and hands out writable banks
+        fresh = aw.build_config(3, 2, 2, [0], (aw.chui_lian_ternary(), aw.daubechies2()))
+        assert fresh.banks[0].lowpass.data.flags.writeable
+
+    def test_warm_calls_write_the_same_bytes(self, config_file, signal_file, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr(cli, "_config_cache", OrderedDict())
+        runs = []
+        for name in ("cold", "warm"):
+            tree, out = str(tmp_path / name), str(tmp_path / f"{name}.grid")
+            assert main(["transform", "decompose", config_file, signal_file,
+                         "-o", tree, "--path", "1,0"]) == 0
+            assert main(["transform", "reconstruct", tree, "-o", out]) == 0
+            runs.append((tree_files(tree), open(out, "rb").read()))
+        assert len(cli._config_cache) == 1
+        assert runs[0] == runs[1]
+
+    def test_options_do_not_carry_over(self, config_file, signal_file, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        tree, out = str(tmp_path / "tree"), str(tmp_path / "r.grid")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree, "--depth", "1"]) == 0
+        capsys.readouterr()
+        assert main(["transform", "reconstruct", tree, "-o", out,
+                     "--check", signal_file]) == 0
+        assert "roundtrip" in capsys.readouterr().out
+        assert main(["transform", "reconstruct", tree, "-o", out]) == 0
+        assert "roundtrip" not in capsys.readouterr().out
+
+    def test_exit_codes_after_other_calls(self, config_file, signal_file, tmp_path):
+        tree = str(tmp_path / "tree")
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", tree, "--depth", "1"]) == 0
+        assert main(["transform", "decompose", config_file]) == 1
+        assert main(["smith", XI1_JSON, "--target", "3,2"]) == 0
+        assert main(["transform", "reconstruct", tree,
+                     "-o", str(tmp_path / "r.grid")]) == 0
+        assert main(["smith", "[[3,0],[0,2]]", "--target", "1,5"]) == 2
+        assert main(["slope", "--sigma1", "3", "--sigma2", "2",
+                     "--w", "0", "--w2", "1.5", "--delta", "0.01"]) == 2
+        assert main(["transform", "reconstruct", tree]) == 1
+        assert main(["slope", "--sigma1", "3", "--sigma2", "2",
+                     "--w", "0", "--w2", "0.5", "--delta", "0.01"]) == 0
+        assert main(["smith"]) == 1
 
 
 class TestCliSlope:

@@ -8,7 +8,12 @@ from anisowave import subdivision
 from anisowave.dictionary import univariate_sets_from_names
 from anisowave.errors import GridMismatchError, GridTooLargeError
 from anisowave.lattice import IntMatrix, inverse_unimodular
-from anisowave.seqcore import CoefSeq, max_abs_diff, polyphase_subdivision
+from anisowave.seqcore import (
+    CoefSeq,
+    _subdivision_box,
+    max_abs_diff,
+    polyphase_subdivision,
+)
 from anisowave.subdivision import SubdivisionOp, _matrix_power
 
 
@@ -201,6 +206,18 @@ def assert_matches_kernel(bank, eta, r):
     assert gap <= 1e-13 * expect.linf(), f"xi {bank.xi.entries}, eta {eta}, r {r}"
 
 
+#: cells a drawn render may reach: wide shears need up to ~4e9 cells at level 5
+RENDER_CELLS = 4_000_000
+
+
+def render_cells(bank, eta, r):
+    """Cells of the level-r window of filter eta, by box arithmetic alone."""
+    window = bank.filter_at(eta).window
+    for _ in range(r - 1):
+        window = _subdivision_box(bank.xi, window, bank.lowpass.window)
+    return window.cells
+
+
 def renders_in_frame(bank, eta, r):
     """Whether wavelet_samples takes the tensor route for this render."""
     window = kernel_samples(bank, eta, r).window
@@ -230,8 +247,23 @@ def similarity_banks(draw):
 def test_tensor_route_matches_kernel(bank, data):
     eta = data.draw(st.sampled_from(bank.indices()))
     r = data.draw(st.integers(1, 5 if bank.dim == 2 else 4))
+    assume(render_cells(bank, eta, r) <= RENDER_CELLS)
     assert renders_in_frame(bank, eta, r)
     assert_matches_kernel(bank, eta, r)
+
+
+def test_tensor_route_matches_kernel_wide_shear():
+    # a draw the cell bound turns away at level 5 (3.6e9 cells), rendered
+    # at the highest level inside the bound
+    xi = IntMatrix.from_rows([[6, 2], [-6, -1]])
+    bank = aw.build_bank(xi, (3, 2), univariate_sets_from_names(SIMILAR[(3, 2)]))
+    assert subdivision._in_frame(bank)
+    r = max(r for r in range(1, 6)
+            if all(render_cells(bank, eta, r) <= RENDER_CELLS for eta in bank.indices()))
+    assert r == 3
+    for eta in bank.indices():
+        assert renders_in_frame(bank, eta, r)
+        assert_matches_kernel(bank, eta, r)
 
 
 class TestTensorRoute:
