@@ -13,12 +13,6 @@ Subcommands::
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 3 resource cap exceeded.  ANISO_CELL_CAP sets the refinement grid cell
 cap.
-
-Repeated ``main`` calls in one process build the parser once and reuse
-the banks of a transform config whose content is unchanged: the last
-few configs are kept, keyed by their scales, signs and univariate
-filter values, with read-only filter arrays.  ``reconstruct`` still
-checks the tree's config digest against the banks it uses.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 
 from . import formats, mmra
@@ -204,9 +197,8 @@ def cmd_cascade(args) -> int:
 
 # -- transform ---------------------------------------------------------------
 
-#: transform configs whose banks are kept, most recently used last
-_CONFIG_CACHE_SIZE = 8
-_config_cache: OrderedDict[tuple, mmra.MMRAConfig] = OrderedDict()
+#: key and config of the last transform config built
+_last_config: tuple[tuple, mmra.MMRAConfig] | None = None
 
 
 def _config_from_json(obj: dict, depth=None, path=None) -> mmra.MMRAConfig:
@@ -218,6 +210,7 @@ def _config_from_json(obj: dict, depth=None, path=None) -> mmra.MMRAConfig:
     origin and bytes, so an edited custom family file misses.  depth
     and path belong to the call.
     """
+    global _last_config
     sets = univariate_sets_from_names(obj["families"])
     depth = depth if depth is not None else obj.get("depth")
     path = path if path is not None else obj.get("path")
@@ -227,17 +220,15 @@ def _config_from_json(obj: dict, depth=None, path=None) -> mmra.MMRAConfig:
            repr((0,) * (s - 1) if signs is None else tuple(signs)),
            tuple((u.scale, tuple((f.origin, f.data.tobytes()) for f in u.filters))
                  for u in sets))
-    config = _config_cache.get(key)
-    if config is None:
+    last = _last_config
+    if last is not None and last[0] == key:
+        config = last[1]
+    else:
         config = mmra.build_config(sigma1, sigma2, s, signs, sets)
         for bank in config.banks:
             for f in bank.filters.values():
                 f.data.flags.writeable = False
-        _config_cache[key] = config
-        if len(_config_cache) > _CONFIG_CACHE_SIZE:
-            _config_cache.popitem(last=False)
-    else:
-        _config_cache.move_to_end(key)
+        _last_config = key, config
     return dataclasses.replace(config, depth=depth,
                                path=None if path is None else tuple(path))
 

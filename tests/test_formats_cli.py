@@ -4,7 +4,6 @@ import os
 import struct
 import subprocess
 import sys
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -606,15 +605,16 @@ class TestCliReuse:
 
     def test_warm_calls_write_the_same_bytes(self, config_file, signal_file, tmp_path,
                                              monkeypatch):
-        monkeypatch.setattr(cli, "_config_cache", OrderedDict())
-        runs = []
+        monkeypatch.setattr(cli, "_last_config", None)
+        runs, cached = [], []
         for name in ("cold", "warm"):
             tree, out = str(tmp_path / name), str(tmp_path / f"{name}.grid")
             assert main(["transform", "decompose", config_file, signal_file,
                          "-o", tree, "--path", "1,0"]) == 0
             assert main(["transform", "reconstruct", tree, "-o", out]) == 0
             runs.append((tree_files(tree), open(out, "rb").read()))
-        assert len(cli._config_cache) == 1
+            cached.append(cli._last_config)
+        assert cached[0] is cached[1] is not None
         assert runs[0] == runs[1]
 
     def test_options_do_not_carry_over(self, config_file, signal_file, tmp_path, capsys):
