@@ -25,6 +25,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import formats, mmra
 from .dictionary import (
     build_bank,
@@ -131,7 +133,9 @@ def cmd_bank_verify(args) -> int:
     bank = formats.read_bank(args.bank)
     residuals = bank.residual_matrix()
     indices = bank.indices()
-    worst_pair = max(residuals, key=residuals.get)
+    # np.argmax picks the first NaN, so a NaN residual fails the check
+    pairs = list(residuals)
+    worst_pair = pairs[int(np.argmax([residuals[pair] for pair in pairs]))]
     worst = residuals[worst_pair]
 
     print(f"dilation det = {bank.det}, {len(indices)} filters")

@@ -27,15 +27,15 @@ from .lattice import (
 from .seqcore import (
     CoefSeq,
     Window,
+    _analysis,
     _analysis_box,
     _hull,
     _preimage_box,
-    _qmf_gap,
+    _subdivision,
     _subdivision_box,
+    _values_at,
     cross_qmf_residual,
     embed,
-    polyphase_analysis,
-    polyphase_subdivision,
     reindex,
     sample_polynomial,
     tensor,
@@ -198,15 +198,28 @@ class AnisoFilterBank:
         return _hull(list(self.filters.values()))
 
     def residual_matrix(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
-        """Cross-QMF residual for every ordered pair of filters."""
-        out = {}
+        """Cross-QMF residual for every ordered pair of filters.
+
+        The residual of (eta, eta2) is the sup distance of the lags of
+        filter eta correlated with filter eta2 from |det xi| delta at
+        eta = eta2 and from zero otherwise (``cross_qmf_residual``).
+        One kernel call correlates every filter, stacked over the
+        filters' hull as channels, with every filter: the polyphase
+        matrix of the bank times its adjoint.  A NaN in a filter makes
+        its residuals NaN.
+        """
         indices = self.indices()
-        for eta in indices:
-            lagged = polyphase_analysis(self.filters[eta], self.xi,
-                                        [self.filters[eta2] for eta2 in indices])
-            for eta2, lag in zip(indices, lagged):
-                out[(eta, eta2)] = _qmf_gap(lag, self.det, eta == eta2)
-        return out
+        filters = [self.filters[eta] for eta in indices]
+        hull = self.support_hull()
+        stack = np.stack([embed(f, hull.lo, hull.hi) for f in filters])
+        lo, lagged = _analysis(hull.lo, stack, self.xi, filters)
+        # lagged[k, j] correlates filter j with filter k; the lag box of a
+        # stack over the hull always holds the zero lag
+        diagonal = np.arange(len(filters))
+        lagged[(diagonal, diagonal, *(-o for o in lo))] -= self.det
+        gaps = np.abs(lagged).max(axis=tuple(range(2, self.dim + 2)))
+        return {(eta, eta2): float(gaps[k, j])
+                for j, eta in enumerate(indices) for k, eta2 in enumerate(indices)}
 
 
 def build_bank(xi: IntMatrix, target_sigma: Sequence[int],
@@ -265,11 +278,13 @@ class ReproductionReport:
 
     @property
     def max_detail(self) -> float:
-        return max(r.detail_max for r in self.rows)
+        """Largest detail maximum; NaN when any row holds NaN."""
+        return float(np.max([r.detail_max for r in self.rows]))
 
     @property
     def max_fit_residual(self) -> float:
-        return max(r.fit_residual for r in self.rows)
+        """Largest fit residual; NaN when any row holds NaN."""
+        return float(np.max([r.fit_residual for r in self.rows]))
 
 
 def analysis_core(window: Window, xi: IntMatrix, support: Window) -> list[tuple[int, ...]]:
@@ -302,17 +317,16 @@ def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarra
     indicator = CoefSeq(mask.origin, mask.data != 0).trimmed()
     if not indicator.sum():
         raise WindowTooSmallError("empty subdivision output")
-    # every point whose taps can reach a cell that the window feeds
+    # every point whose taps can reach a cell that the window feeds; the
+    # two indicators (near points, window points) go through one call
     near = _analysis_box(xi, _subdivision_box(xi, window, indicator.window), mask.window)
-    fed_all = polyphase_subdivision([CoefSeq(near.lo, np.ones(near.shape))], xi,
-                                    [indicator])
-    fed_inside = polyphase_subdivision([CoefSeq(window.lo, np.ones(window.shape))], xi,
-                                       [indicator])
-    fed_inside = embed(fed_inside, fed_all.origin, fed_all.window.hi)
-    clean = np.argwhere((fed_inside > 0) & (fed_inside == fed_all.data))
+    inside = embed(CoefSeq(window.lo, np.ones(window.shape)), near.lo, near.hi)
+    points = np.stack([np.ones(near.shape), inside])
+    lo, (fed_all, fed_inside) = _subdivision([(near.lo, points)], xi, [indicator])
+    clean = np.argwhere((fed_inside > 0) & (fed_inside == fed_all))
     if not len(clean):
         raise WindowTooSmallError("no boundary-free subdivision output cells")
-    return clean + np.array(fed_all.origin)
+    return clean + np.array(lo)
 
 
 def _fit_polynomial(points: np.ndarray, values: np.ndarray, degree: int) -> float:
@@ -340,28 +354,30 @@ def reproduction_check(bank: AnisoFilterBank, degree: int,
     For every monomial of total degree <= degree, the analysis details
     must vanish on the boundary-unaffected core of the window, and one
     lowpass subdivision step applied to the samples must stay a
-    polynomial of the same degree (reported as a fit residual).
+    polynomial of the same degree (reported as a fit residual).  The
+    monomials' samples are stacked as channels: one analysis call with
+    every filter (as ``mmra.analyze`` makes it) and one lowpass
+    subdivision call cover them all, and index arrays read the core
+    values.  A NaN detail or fit makes the report's maxima NaN.
     """
-    from . import mmra
-    from .subdivision import SubdivisionOp, subdivide
-
     core = _core_lags(window, bank.xi, bank.support_hull())
     if not len(core):
         raise WindowTooSmallError(
             f"window {window.lo}..{window.hi} has no boundary-free core")
     out_core = _subdivision_core(window, bank.xi, bank.lowpass)
 
-    rows = []
-    for expo in itertools.product(range(degree + 1), repeat=bank.dim):
-        if sum(expo) > degree:
-            continue
-        samples = sample_polynomial([(1.0, expo)], window)
-        parts = mmra.analyze(bank, samples)
-        detail_max = max(float(np.abs(parts[eta].values_at(core)).max())
-                         for eta in bank.highpass_indices())
-
-        refined = subdivide(SubdivisionOp.from_bank(bank), samples)
-        fit = _fit_polynomial(out_core.astype(np.float64), refined.values_at(out_core),
-                              sum(expo))
-        rows.append(ReproductionRow(expo, detail_max, fit))
-    return ReproductionReport(degree, window, tuple(rows))
+    expos = [expo for expo in itertools.product(range(degree + 1), repeat=bank.dim)
+             if sum(expo) <= degree]
+    samples = np.stack([sample_polynomial([(1.0, expo)], window).data
+                        for expo in expos])
+    lo, parts = _analysis(window.lo, samples, bank.xi, list(bank.filters.values()))
+    highpass = [k for k, eta in enumerate(bank.filters) if any(eta)]
+    # (filter, monomial, core lag), with analyze's scaling
+    details = np.abs(_values_at(lo, parts[highpass], core) * (1.0 / bank.det))
+    lo, refined = _subdivision([(window.lo, samples)], bank.xi, [bank.lowpass])
+    fitted = _values_at(lo, refined, out_core)
+    points = out_core.astype(np.float64)
+    rows = tuple(ReproductionRow(expo, float(details[:, k].max()),
+                                 _fit_polynomial(points, fitted[k], sum(expo)))
+                 for k, expo in enumerate(expos))
+    return ReproductionReport(degree, window, rows)

@@ -102,8 +102,12 @@ def coefseq_to_json(c: CoefSeq) -> dict:
 
 
 def coefseq_from_json(obj: dict) -> CoefSeq:
+    """The sequence of a document; NaN or infinite values (which ``json``
+    reads) make it malformed, like a value of the wrong type."""
     shape = tuple(int(n) for n in obj["shape"])
     data = np.array(obj["data"], dtype=np.float64).reshape(shape)
+    if not np.isfinite(data).all():
+        raise ValueError("sequence data holds non-finite values")
     return CoefSeq(tuple(int(o) for o in obj["origin"]), data)
 
 

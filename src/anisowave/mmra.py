@@ -311,20 +311,25 @@ def _in_simplex(u: Sequence[Fraction]) -> bool:
     return all(x >= 0 for x in u) and sum(u) <= 1
 
 
-def _project_simplex(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Euclidean projection onto {z >= 0, sum z <= 1}, exact."""
-    clipped = [max(x, Fraction(0)) for x in p]
-    if sum(clipped) <= 1:
-        return tuple(clipped)
-    ordered = sorted(p, reverse=True)
-    theta = Fraction(0)
-    cumulative = Fraction(0)
-    for i, u in enumerate(ordered, start=1):
-        cumulative += u
-        candidate = (cumulative - 1) / i
-        if u - candidate > 0:
-            theta = candidate
-    return tuple(max(x - theta, Fraction(0)) for x in p)
+def _project_simplex(p: Sequence[int], den: int) -> tuple[list[int], int]:
+    """Euclidean projection of the point p / den onto {z >= 0, sum z <= 1}, exact.
+
+    p holds integer numerators over the positive denominator den.
+    Returns (numerators, i): the projection is numerators / (i den).
+    The point is clipped at zero when that lands in the simplex (i = 1);
+    otherwise it is shifted by theta = (C_i - den) / (i den), where C_i
+    sums the i largest numerators and i is the last prefix whose
+    smallest entry exceeds its theta, and then clipped.
+    """
+    clipped = [max(x, 0) for x in p]
+    if sum(clipped) <= den:
+        return clipped, 1
+    cumulative, size, excess = 0, 1, 0
+    for i, x in enumerate(sorted(p, reverse=True), start=1):
+        cumulative += x
+        if i * x > cumulative - den:
+            size, excess = i, cumulative - den
+    return [max(size * x - excess, 0) for x in p], size
 
 
 def _distsq(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -386,8 +391,15 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
     The steered slope of a word of n digits is x^n u plus an offset
     (the closed form of ``lattice.digit_polynomial``).  The offset and
     x^n are kept as the word grows, so each digit costs a fixed number
-    of exact rational operations and a call costs time linear in the
-    digit count, with the same exact error test as replaying the word.
+    of exact operations and a call costs time linear in the digit
+    count, with the same exact error test as replaying the word.  All
+    of it runs in Python integers, with no ``Fraction`` and no gcd: the
+    running target, the pulled candidates and their projections are
+    integer numerators over one common denominator, the offset is a
+    numerator over the denominator of x^n, and the candidates' squared
+    distances and the error test compare cross-multiplied integers.
+    The comparisons and the tie order are those of the exact rational
+    loop, so the word is the same.
 
     delta may lie outside the float range (a ``Fraction`` such as
     10^-400): the iteration cap is then sized from the logs of its
@@ -406,6 +418,7 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
 
     x = family.ratio
     k = family.dim - 1
+    p, q = x.numerator, x.denominator
     diameter = 1.0 if k == 1 else math.sqrt(2.0)
     expected = 1
     if delta < 2 * diameter:
@@ -418,32 +431,42 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
         expected = max(1, math.ceil(log_quotient / math.log(float(x))))
     cap = max(10 * expected, 20)
 
+    # u and u2 as numerators over one denominator
+    base = math.lcm(*(v.denominator for v in u + u2))
+    ref = [int(v * base) for v in u]
+    goal = [int(v * base) for v in u2]
     digits: list[int] = []
-    offset = [Fraction(0)] * k  # sum over digits of x^(i-1) (1 - x) e_(eps_i)
-    power = Fraction(1)  # x^n for the n digits so far
-    t = u2
-    delta_sq = delta * delta
+    t, den = list(goal), base  # the running target t / den
+    # sum over digits of x^(i-1) (1 - x) e_(eps_i), over the denominator of x^n
+    offset = [0] * k
+    power_p, power_q = 1, 1  # x^n = power_p / power_q for the n digits so far
     while True:
-        scaled = [ti / x for ti in t]
-        best_j, best_d, best_t = 0, None, None
+        # candidate j pulls t back through cell j: t / x, less (1 - x) / x
+        # on axis j - 1; every candidate lies over the denominator den p
+        scaled = [v * q for v in t]
+        best_j, best_d, best_size, best_t = 0, None, 1, None
         for j in range(family.dim):
             pulled = list(scaled)
             if j > 0:
-                pulled[j - 1] = (t[j - 1] - (1 - x)) / x
-            projected = _project_simplex(pulled)
-            d = _distsq(projected, pulled)
-            if best_d is None or d < best_d:
-                best_j, best_d, best_t = j, d, projected
-        t = best_t
+                pulled[j - 1] -= (q - p) * den
+            projected, size = _project_simplex(pulled, den * p)
+            # the squared distance times (size den p)^2
+            d = sum((a - size * b) ** 2 for a, b in zip(projected, pulled))
+            if best_d is None or d * best_size ** 2 < best_d * size ** 2:
+                best_j, best_d, best_size, best_t = j, d, size, projected
+        t, den = best_t, best_size * den * p
         digits.append(best_j)
+        offset = [o * q for o in offset]
         if best_j > 0:
-            offset[best_j - 1] += power * (1 - x)
-        power *= x
-        err_sq = _distsq([power * v + o for v, o in zip(u, offset)], u2)
-        if err_sq < delta_sq:
+            offset[best_j - 1] += power_p * (q - p)
+        power_p, power_q = power_p * p, power_q * q
+        # the gap to u2, over the denominator power_q base
+        gap_sq = sum((power_p * a + o * base - b * power_q) ** 2
+                     for a, o, b in zip(ref, offset, goal))
+        if gap_sq * delta.denominator ** 2 < (delta.numerator * power_q * base) ** 2:
             break
         if len(digits) > cap:
             raise NonTerminationError(
                 f"no digit word of length <= {cap} reached tolerance {_exact_text(delta)}")
-    return SlopeDigits(tuple(digits), len(digits), math.sqrt(float(err_sq)),
-                       u, u2)
+    return SlopeDigits(tuple(digits), len(digits),
+                       math.sqrt(gap_sq / (power_q * base) ** 2), u, u2)

@@ -31,6 +31,18 @@ are analysis with the pulse as the only filter.  The box of a step is
 computed here only, on plain (lo, hi) tuples inside the kernel;
 ``_analysis_box`` and ``_subdivision_box`` give it to the other modules
 as a ``Window``.  Only numpy is needed.
+
+Inside the library the kernel also carries a stack of inputs: ``_analysis``
+and ``_subdivision`` take arrays whose last s axes lie on the lattice
+and whose leading axes are channels.  Every gathered view, dot product
+and strided add then serves all channels, and each channel gets exactly
+the arithmetic of a call on it alone (the channels lead so that each
+one stays a contiguous block for those products and adds).  The public
+calls on ``CoefSeq`` are the case without channels, and each bank check
+in ``dictionary`` is one such call: the cross-QMF residuals correlate
+every filter, stacked as channels, with every filter, and polynomial
+reproduction runs every monomial through one analysis and one
+subdivision call.
 """
 
 from __future__ import annotations
@@ -113,11 +125,7 @@ class CoefSeq:
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """``value`` at every row of an (n, dim) integer array."""
-        rel = np.asarray(points, dtype=np.int64) - np.asarray(self.origin)
-        inside = np.all((rel >= 0) & (rel < np.asarray(self.shape)), axis=1)
-        out = np.zeros(len(rel))
-        out[inside] = self.data[tuple(rel[inside].T)]
-        return out
+        return _values_at(self.origin, self.data, points)
 
     def scaled(self, factor: float) -> "CoefSeq":
         return CoefSeq(self.origin, self.data * factor)
@@ -129,16 +137,12 @@ class CoefSeq:
         return CoefSeq(origin, flipped.copy())
 
     def trimmed(self) -> "CoefSeq":
-        """Shrink the box to the exact nonzero support (keeps one cell if all zero)."""
-        nz = self.data != 0
-        if not nz.any():
-            return CoefSeq((0,) * self.dim, np.zeros((1,) * self.dim))
-        axes = range(self.dim)
-        hits = [np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a)))
-                for a in axes]
-        sl = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
-        origin = tuple(o + s.start for o, s in zip(self.origin, sl))
-        return CoefSeq(origin, self.data[sl].copy())
+        """Shrink the box to the exact nonzero support (keeps one cell if all zero).
+
+        The result never shares memory with self.
+        """
+        out = _trimmed(self.origin, self.data[None])[0]
+        return out if out.data.base is None else CoefSeq(out.origin, out.data.copy())
 
     def sum(self) -> float:
         return float(self.data.sum())
@@ -151,6 +155,17 @@ class CoefSeq:
 
     def __repr__(self):
         return f"CoefSeq(dim={self.dim}, origin={self.origin}, shape={self.shape})"
+
+
+def _values_at(origin: Sequence[int], data: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values of an array over the box at origin at every row of an (n, s)
+    integer array, zero outside the box.  Axes of data ahead of its last s
+    (lattice) axes are channels: the result is (*channels, n)."""
+    rel = np.asarray(points, dtype=np.int64) - np.asarray(origin)
+    inside = np.all((rel >= 0) & (rel < np.asarray(data.shape[-len(origin):])), axis=1)
+    out = np.zeros((*data.shape[:-len(origin)], len(rel)))
+    out[..., inside] = data[(..., *rel[inside].T)]
+    return out
 
 
 def delta(s: int) -> CoefSeq:
@@ -184,7 +199,13 @@ Box = tuple[Vec, Vec]
 
 
 def _seq_box(c: CoefSeq) -> Box:
-    return c.origin, tuple(o + n - 1 for o, n in zip(c.origin, c.data.shape))
+    return _array_box(c.origin, c.data)
+
+
+def _array_box(origin: Vec, data: np.ndarray) -> Box:
+    """Box of an array whose last len(origin) axes lie over the box at origin."""
+    shape = data.shape[data.ndim - len(origin):]
+    return origin, tuple(o + n - 1 for o, n in zip(origin, shape))
 
 
 def _box_hull(boxes: Iterable[Box]) -> Box:
@@ -256,23 +277,27 @@ def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
                    shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Strided views of the lattice points m (box_lo + i) + shifts[k] of arr.
 
-    arr is a C-contiguous array over the box with lowest corner lo.
-    Returns (view, rows): view[rows[k]][i] is the cell of arr at
-    m (box_lo + i) + shifts[k].  Every such point must lie in arr's box
-    (numpy refuses a view reaching outside arr's buffer).  No index
-    arrays are built: the map i -> m i is the stride vector m^T e,
-    where e holds arr's element strides.
+    arr is a C-contiguous array whose last m.dim axes lie over the box
+    with lowest corner lo; any axes ahead of them are channels.  Returns
+    (view, rows): view[rows[k]][..., i] is the cell of arr at
+    m (box_lo + i) + shifts[k], with arr's channel axes first.  Every
+    such point must lie in arr's box (numpy refuses a view reaching
+    outside arr's buffer).  No index arrays are built: the map i -> m i
+    is the stride vector m^T e, where e holds arr's element strides
+    along its lattice axes, and the channel axes keep arr's own strides.
     """
-    e = np.asarray(arr.strides, dtype=np.int64) // arr.itemsize
+    channels = arr.ndim - m.dim
+    e = np.asarray(arr.strides[channels:], dtype=np.int64) // arr.itemsize
     mat = np.asarray(m.entries, dtype=np.int64)
     base = int((mat @ np.asarray(box_lo, dtype=np.int64)
                 - np.asarray(lo, dtype=np.int64)) @ e)
     offsets = np.asarray(shifts, dtype=np.int64).reshape(-1, m.dim) @ e + base
     first = int(offsets.min())
     steps = (mat.T @ e) * arr.itemsize
-    view = np.ndarray((int(offsets.max()) - first + 1, *shape), dtype=arr.dtype,
-                      buffer=arr, offset=first * arr.itemsize,
-                      strides=(arr.itemsize, *(int(x) for x in steps)))
+    view = np.ndarray((int(offsets.max()) - first + 1, *arr.shape[:channels], *shape),
+                      dtype=arr.dtype, buffer=arr, offset=first * arr.itemsize,
+                      strides=(arr.itemsize, *arr.strides[:channels],
+                               *(int(x) for x in steps)))
     return view, offsets - first
 
 
@@ -323,16 +348,31 @@ def tensor(factors: Sequence[CoefSeq]) -> CoefSeq:
 _STACK_CELLS = 1 << 20
 
 
-def _taps(f: CoefSeq) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, weights) of the nonzero taps of f.
+def _taps(origin: Vec, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, weights) of the nonzero taps of an array over the box at origin.
 
     positions[k] is the lattice point beta_k of the k-th nonzero tap and
     weights[k] its value.  Grouped by the coset of beta under a dilation
     xi, the taps are the filter's polyphase components
-    f_rho(nu) = f(xi nu + rho).
+    f_rho(nu) = f(xi nu + rho).  Axes of data ahead of its lattice axes
+    are channels: a cell counts when one channel is nonzero there, and
+    weights[k] is that cell's (*channels) values.
     """
-    nz = f.data != 0
-    return np.argwhere(nz) + np.asarray(f.origin, dtype=np.int64), f.data[nz]
+    nz = _nonzero_cells(data, len(origin))
+    weights = data[..., nz]
+    return (np.argwhere(nz) + np.asarray(origin, dtype=np.int64),
+            np.moveaxis(weights, -1, 0) if weights.ndim > 1 else weights)
+
+
+def _nonzero_cells(data: np.ndarray, s: int) -> np.ndarray:
+    """Mask of the lattice cells (last s axes) holding a nonzero in some channel."""
+    nz = data != 0
+    return nz.any(axis=tuple(range(data.ndim - s))) if data.ndim > s else nz
+
+
+def _count_cells(data: np.ndarray, s: int) -> int:
+    """Number of lattice cells (last s axes) holding a nonzero in some channel."""
+    return np.count_nonzero(data if data.ndim == s else _nonzero_cells(data, s))
 
 
 def _union_taps(seqs: Sequence[CoefSeq], hull: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -344,21 +384,27 @@ def _union_taps(seqs: Sequence[CoefSeq], hull: Box) -> tuple[np.ndarray, np.ndar
     One sequence takes ``_taps`` directly: no hull array is built.
     """
     if len(seqs) == 1:
-        positions, weights = _taps(seqs[0])
+        positions, weights = _taps(seqs[0].origin, seqs[0].data)
         return positions, weights[None]
-    dense = _stacked(seqs, hull)
+    dense = _stacked([(f.origin, f.data) for f in seqs], hull)
     nz = (dense != 0).any(axis=0)
     # C order keeps each weight row contiguous, as ``_taps`` gives it
     weights = np.ascontiguousarray(dense[:, nz])
     return np.argwhere(nz) + np.asarray(hull[0], dtype=np.int64), weights
 
 
-def _stacked(seqs: Sequence[CoefSeq], box: Box) -> np.ndarray:
-    """The sequences as rows of one zero-padded array over a box holding them all."""
-    out = np.zeros((len(seqs), *_box_shape(box)))
-    for row, f in zip(out, seqs):
-        row[tuple(slice(o - l, o - l + n)
-                  for o, l, n in zip(f.origin, box[0], f.shape))] = f.data
+def _stacked(arrays: Sequence[tuple[Vec, np.ndarray]], box: Box) -> np.ndarray:
+    """The arrays as rows of one zero-padded array over a box holding them all.
+
+    Each array's last len(box[0]) axes lie over the box at its origin;
+    axes ahead of them are channels, the same in every array.
+    """
+    s = len(box[0])
+    channels = arrays[0][1].shape[:-s]
+    out = np.zeros((len(arrays), *channels, *_box_shape(box)))
+    for row, (origin, data) in zip(out, arrays):
+        row[(..., *[slice(o - l, o - l + n) for o, l, n
+                    in zip(origin, box[0], data.shape[-s:])])] = data
     return out
 
 
@@ -373,39 +419,92 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     filters are split once into their union, each union tap's view is
     gathered once into one stack, and each filter's lags are its own
     weight row (zero at the taps it lacks) times that stack.  The lags
-    run over one box holding every lag of every filter, and each result
-    is trimmed to its nonzero support.  The views read c's own array
-    when every point they reach lies in c's box; only otherwise is c
-    copied into a zero-padded box.  A one-tap filter (``downsample``,
-    ``reindex``) scales its single view.
+    run over one box holding every lag of every filter, and one nonzero
+    test over all filters trims each result to its nonzero support.
+    The views read c's own array when every point they reach lies in
+    c's box; only otherwise is c copied into a zero-padded box.  A
+    one-tap filter (``downsample``, ``reindex``) scales its single view.
+    This is ``_analysis`` of c's array with no channel axis.
     """
+    return _trimmed(*_analysis(c.origin, c.data, xi, filters))
+
+
+def _analysis(origin: Vec, data: np.ndarray, xi: IntMatrix,
+              filters: Sequence[CoefSeq]) -> tuple[Vec, np.ndarray]:
+    """``polyphase_analysis`` of an array, untrimmed, with channels riding along.
+
+    The last xi.dim axes of data lie over the box at origin; axes ahead
+    of them are channels, a stack of inputs that share every gathered
+    view.  Returns (lo, out): out[k] holds filter k's lags over the one
+    lag box with lowest corner lo, shaped (*channels, *box), and lags
+    that no tap reaches hold exact zeros.  Each channel of each filter
+    is one matrix-vector product over the same lag box as a call on
+    that channel alone, so the two agree bit for bit while the taps'
+    gathered views fit one chunk.
+    """
+    s = xi.dim
+    channels = data.shape[:-s]
+    width = math.prod(channels)
     hull = _box_hull(map(_seq_box, filters))
-    c_box = _seq_box(c)
+    c_box = _array_box(origin, data)
     box = _lag_box(xi, c_box, hull)
     if box is None:
-        return [CoefSeq((0,) * c.dim, np.zeros((1,) * c.dim)) for _ in filters]
+        return (0,) * s, np.zeros((len(filters), *channels, *(1,) * s))
     lo = box[0]
     src_lo, src_hi = _image_box(xi, box, hull)
     c_lo, c_hi = c_box
     if all(a <= b for a, b in zip(c_lo + src_hi, src_lo + c_hi)):  # inside c's box
-        src, src_lo = c.data, c_lo
+        src, src_lo = data, c_lo
     else:
-        src = embed(c, src_lo, src_hi)
+        src = _embed(origin, data, src_lo, src_hi)
     shape = _box_shape(box)
     cells = math.prod(shape)
     positions, weights = _union_taps(filters, hull)
     if len(positions):
         view, rows = _shifted_views(src, src_lo, xi, lo, shape, positions)
     if len(positions) == 1:
-        accs = [view[rows[0]] * w[0] for w in weights]
-    else:
-        accs = np.zeros((len(filters), cells))
-        chunk = max(1, _STACK_CELLS // cells)
-        for k in range(0, len(positions), chunk):
-            stack = view[rows[k:k + chunk]].reshape(-1, cells)
-            for acc, w in zip(accs, weights):
-                acc += w[k:k + chunk] @ stack
-    return [CoefSeq(lo, acc.reshape(shape)).trimmed() for acc in accs]
+        return lo, view[rows[0]] * weights.reshape(-1, *(1,) * (view.ndim - 1))
+    out = np.zeros((len(filters), width, cells))
+    chunk = max(1, _STACK_CELLS // (cells * width))
+    for k in range(0, len(positions), chunk):
+        # C order makes each channel of the gathered taps one contiguous
+        # (taps, cells) matrix
+        stack = np.ascontiguousarray(view[rows[k:k + chunk]])
+        layers = stack.reshape(-1, width, cells).transpose(1, 0, 2)
+        for acc, w in zip(out, weights[:, k:k + chunk]):
+            for acc_j, layer in zip(acc, layers):
+                acc_j += w @ layer
+    return lo, out.reshape(len(filters), *channels, *shape)
+
+
+def _trimmed(lo: Vec, out: np.ndarray) -> list[CoefSeq]:
+    """The rows of out, lags over the box at lo, each cut to its nonzero support.
+
+    One nonzero test covers every row.  The boxes are those of
+    ``CoefSeq.trimmed``: an all-zero row becomes the one-cell zero
+    sequence at the origin, and a row with a nonzero on every face of
+    the box keeps its array without a copy.
+    """
+    s = out.ndim - 1
+    nz = out != 0
+    spans = []
+    for a in range(1, s + 1):
+        hit = nz.any(axis=tuple(b for b in range(1, s + 1) if b != a))
+        spans.append((hit.argmax(axis=1).tolist(),
+                      (hit.shape[1] - hit[:, ::-1].argmax(axis=1)).tolist()))
+    found = hit.any(axis=1).tolist()
+    seqs = []
+    for k, row in enumerate(out):
+        if not found[k]:
+            seqs.append(CoefSeq((0,) * s, np.zeros((1,) * s)))
+            continue
+        sl = tuple(slice(first[k], stop[k]) for first, stop in spans)
+        if all(x.start == 0 and x.stop == n for x, n in zip(sl, row.shape)):
+            seqs.append(CoefSeq(lo, row))
+        else:
+            seqs.append(CoefSeq(tuple(o + x.start for o, x in zip(lo, sl)),
+                                row[sl].copy()))
+    return seqs
 
 
 def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
@@ -425,57 +524,83 @@ def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
     their parts (embedded in the parts' hull) into a scratch buffer,
     and one strided add writes it.  The output is the sum over the hull
     of the pairs' boxes (xi applied to c's window, widened by the mask
-    window), untrimmed.
+    window), untrimmed.  This is ``_subdivision`` of the parts' arrays
+    with no channel axis.
+    """
+    return CoefSeq(*_subdivision([(c.origin, c.data) for c in parts], xi, masks))
+
+
+def _subdivision(parts: Sequence[tuple[Vec, np.ndarray]], xi: IntMatrix,
+                 masks: Sequence[CoefSeq]) -> tuple[Vec, np.ndarray]:
+    """``polyphase_subdivision`` of arrays, with channels riding along.
+
+    parts[k] is (origin, data): the last xi.dim axes of data lie over
+    the box at origin, and axes ahead of them are channels, the same in
+    every part.  Returns (lo, out), out shaped (*channels, *box) over
+    the box at lo.  Each channel takes the operations of a call on
+    that channel alone, where a cell of a part counts as nonzero when
+    one of its channels is.
     """
     boxes = []
-    for c, mask in zip(parts, masks, strict=True):
-        _check_dims(c, mask)
-        boxes.append(_image_box(xi, _seq_box(c), _seq_box(mask)))
+    for (origin, data), mask in zip(parts, masks, strict=True):
+        if len(origin) != mask.dim:
+            raise DimMismatchError(f"dimensions {len(origin)} and {mask.dim} differ")
+        boxes.append(_image_box(xi, _array_box(origin, data), _seq_box(mask)))
     if not boxes:
         raise ValueError("no components to subdivide")
+    s = xi.dim
+    channels = parts[0][1].shape[:-s]
     box = out_box = _box_hull(boxes)
-    by_mask = [np.count_nonzero(c.data) >= np.count_nonzero(mask.data)
-               for c, mask in zip(parts, masks)]
+    by_mask = [_count_cells(data, s) >= np.count_nonzero(mask.data)
+               for (_, data), mask in zip(parts, masks)]
     shared = sum(by_mask) > 1
     if shared:
         group = [k for k, flag in enumerate(by_mask) if flag]
-        part_hull = _box_hull(_seq_box(parts[k]) for k in group)
+        part_hull = _box_hull(_array_box(*parts[k]) for k in group)
         mask_hull = _box_hull(_seq_box(masks[k]) for k in group)
         # the parts' hull can reach cells outside every pair's box; those
         # receive only zeros and are cut off below
         out_box = _box_hull((box, _image_box(xi, part_hull, mask_hull)))
-    out = np.zeros(_box_shape(out_box))
-    for c, mask, flag in zip(parts, masks, by_mask):
+    out = np.zeros((*channels, *_box_shape(out_box)))
+    for (origin, data), mask, flag in zip(parts, masks, by_mask):
         if flag and shared:
             continue
         if flag:
-            shifts, weights = _taps(mask)
-            src, step = c, xi
+            shifts, weights = _taps(mask.origin, mask.data)
+            src_lo, src, step = origin, data, xi
         else:
-            positions, weights = _taps(c)
+            positions, weights = _taps(origin, data)
+            if channels:  # one column of channels per cell, to scale the mask
+                weights = weights.reshape(-1, *channels, *(1,) * s)
             shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
-            src, step = mask, IntMatrix.identity(c.dim)
+            src_lo, src, step = mask.origin, mask.data, IntMatrix.identity(s)
         if len(weights):
-            view, rows = _shifted_views(out, out_box[0], step, src.origin, src.shape,
+            view, rows = _shifted_views(out, out_box[0], step, src_lo, src.shape[-s:],
                                         shifts)
-            scaled = np.empty(src.shape)
+            scaled = np.empty(view.shape[1:])
             for row, w in zip(rows, weights):
                 target = view[row]
-                target += np.multiply(src.data, w, out=scaled)
+                target += np.multiply(src, w, out=scaled)
     if shared:
         shifts, weights = _union_taps([masks[k] for k in group], mask_hull)
         shape = _box_shape(part_hull)
-        stack = _stacked([parts[k] for k in group], part_hull).reshape(len(group), -1)
+        width = math.prod(channels)
+        layers = _stacked([parts[k] for k in group], part_hull).reshape(
+            len(group), width, -1).transpose(1, 0, 2)
         if len(shifts):
             view, rows = _shifted_views(out, out_box[0], xi, part_hull[0], shape, shifts)
-            scratch = np.empty(stack.shape[1])
+            scratch = np.empty((width, layers.shape[2]))
+            spread = scratch.reshape(*channels, *shape)
+            per_channel = list(zip(layers, scratch))
             for row, w in zip(rows, np.ascontiguousarray(weights.T)):
+                for layer, acc in per_channel:
+                    np.dot(w, layer, out=acc)
                 target = view[row]
-                target += np.dot(w, stack, out=scratch).reshape(shape)
+                target += spread
     if out_box != box:
-        out = out[tuple(slice(l - o, h - o + 1)
-                        for l, h, o in zip(*box, out_box[0]))]
-    return CoefSeq(box[0], out)
+        out = out[(..., *(slice(l - o, h - o + 1)
+                          for l, h, o in zip(*box, out_box[0])))]
+    return box[0], out
 
 
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:
@@ -530,13 +655,20 @@ def sample_polynomial(terms: Iterable[tuple[float, Sequence[int]]],
 
 def embed(c: CoefSeq, lo: Vec, hi: Vec) -> np.ndarray:
     """Dense copy of c on the box [lo, hi] (zero padded, cropped to the box)."""
+    return _embed(c.origin, c.data, lo, hi)
+
+
+def _embed(origin: Vec, data: np.ndarray, lo: Vec, hi: Vec) -> np.ndarray:
+    """``embed`` of an array whose last len(lo) axes lie over the box at
+    origin; axes ahead of them (channels) ride along."""
+    s = len(lo)
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    out = np.zeros(shape)
-    a = [max(o, l) for o, l in zip(c.origin, lo)]
-    b = [min(o + n, l + m) for o, n, l, m in zip(c.origin, c.shape, lo, shape)]
+    out = np.zeros(data.shape[:-s] + shape)
+    a = [max(o, l) for o, l in zip(origin, lo)]
+    b = [min(o + n, l + m) for o, n, l, m in zip(origin, data.shape[-s:], lo, shape)]
     if all(x < y for x, y in zip(a, b)):
-        out[tuple(slice(x - l, y - l) for x, y, l in zip(a, b, lo))] = \
-            c.data[tuple(slice(x - o, y - o) for x, y, o in zip(a, b, c.origin))]
+        out[(..., *(slice(x - l, y - l) for x, y, l in zip(a, b, lo)))] = \
+            data[(..., *(slice(x - o, y - o) for x, y, o in zip(a, b, origin)))]
     return out
 
 

@@ -6,6 +6,8 @@ import pytest
 import anisowave as aw
 from anisowave.dictionary import (
     FAMILIES,
+    ReproductionReport,
+    ReproductionRow,
     moment_order_nd,
     reproduction_check,
     univariate_sets_from_names,
@@ -139,3 +141,36 @@ class TestReproduction:
     def test_window_too_small(self, bank0):
         with pytest.raises(WindowTooSmallError):
             reproduction_check(bank0, 1, Window((0, 0), (3, 3)))
+
+
+class TestNaNFilters:
+    """A NaN in one filter must reach every maximum a bank check reports."""
+
+    @staticmethod
+    def poisoned(bank, eta):
+        filters = dict(bank.filters)
+        data = filters[eta].data.copy()
+        data[(3,) + (0,) * (bank.dim - 1)] = np.nan
+        filters[eta] = aw.CoefSeq(filters[eta].origin, data)
+        return aw.AnisoFilterBank(bank.xi, bank.fact, bank.sigma, filters, None)
+
+    def test_residuals_of_the_filter_are_nan(self, bank1):
+        bank = self.poisoned(bank1, (2, 1))
+        residuals = bank.residual_matrix()
+        assert residuals[((2, 1), (2, 1))] != residuals[((2, 1), (2, 1))]
+        assert residuals[((0, 1), (2, 1))] != residuals[((0, 1), (2, 1))]
+        assert residuals[((0, 0), (0, 0))] <= 1e-12
+
+    @pytest.mark.parametrize("eta", [(1, 0), (2, 1)])
+    def test_report_maxima_are_nan(self, bank1, eta):
+        bank = self.poisoned(bank1, eta)
+        report = reproduction_check(bank, 1, Window((0, 0), (26, 26)))
+        assert np.isnan(report.max_detail)
+        assert not report.max_detail <= 1e-10
+
+    def test_report_maxima_propagate_a_late_nan(self):
+        rows = tuple(ReproductionRow(e, d, f) for e, d, f in
+                     [((0, 0), 1e-14, 1e-13), ((0, 1), np.nan, 1e-13),
+                      ((1, 0), 1e-14, np.nan)])
+        report = ReproductionReport(1, Window((0, 0), (5, 5)), rows)
+        assert np.isnan(report.max_detail) and np.isnan(report.max_fit_residual)

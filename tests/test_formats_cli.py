@@ -315,6 +315,51 @@ class TestCliBank:
         assert main(["bank", "verify", bad]) == 1
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["2,1", "1,0"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_filter_exit_1(self, tmp_path, capsys, key, token):
+        path = str(tmp_path / "bank1.json")
+        assert main(["bank", "build", "--xi", "[[3,-1],[0,2]]", "--sigma", "3,2",
+                     "--families", "cl3,db2", "-o", path]) == 0
+        data = json.load(open(path))
+        data["filters"][key]["data"][3] = float(token.replace("Infinity", "inf"))
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        assert token in open(bad).read()
+        capsys.readouterr()
+        assert main(["bank", "verify", bad]) == 1
+        captured = capsys.readouterr()
+        assert "bad.json" in captured.err and "non-finite" in captured.err
+        assert "OK" not in captured.out
+
+    def test_non_finite_family_file_exit_1(self, tmp_path, capsys):
+        family = formats.univariate_set_to_json(aw.daubechies2())
+        family["filters"][1]["data"][2] = float("nan")
+        custom = str(tmp_path / "nan_db2.json")
+        with open(custom, "w") as fh:
+            json.dump(family, fh)
+        out = str(tmp_path / "z.json")
+        assert main(["bank", "build", "--xi", XI1_JSON, "--sigma", "3,2",
+                     "--families", f"cl3,{custom}", "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert custom in err and "non-finite" in err
+        assert not os.path.exists(out)
+
+    def test_nan_filter_in_memory_fails_verify(self, bank_file, monkeypatch, capsys):
+        """A NaN that reaches the residuals, not first in their order, fails."""
+        bank = formats.read_bank(bank_file)
+        filters = dict(bank.filters)
+        poisoned = filters[(2, 1)].data.copy()
+        poisoned[3, 0] = np.nan
+        filters[(2, 1)] = CoefSeq(filters[(2, 1)].origin, poisoned)
+        nan_bank = aw.AnisoFilterBank(bank.xi, bank.fact, bank.sigma, filters, None)
+        monkeypatch.setattr(formats, "read_bank", lambda path: nan_bank)
+        assert main(["bank", "verify", bank_file]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL: worst residual nan" in captured.err
+        assert "OK" not in captured.out
+
     def test_malformed_xi_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "z.json")
         assert main(["bank", "build", "--xi", "5", "--sigma", "3,2",

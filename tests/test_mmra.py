@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from anisowave.errors import (
     WindowTooSmallError,
 )
 from anisowave.lattice import IntMatrix
-from anisowave.mmra import _distsq, _slope_value, _unsigned
+from anisowave.mmra import _distsq, _exact_text, _slope_value, _unsigned
 from anisowave.seqcore import CoefSeq, Window, max_abs_diff
 
 
@@ -408,6 +409,104 @@ class TestSlopeDigits:
         err = aw.slope_error(fam, out.eps, (0, 0),
                              (Fraction(1, 3), Fraction(1, 4)))
         assert err == pytest.approx(out.achieved_error, abs=1e-15)
+
+
+def _fraction_projection(p):
+    """Euclidean projection onto {z >= 0, sum z <= 1} in Fractions."""
+    clipped = [max(x, Fraction(0)) for x in p]
+    if sum(clipped) <= 1:
+        return tuple(clipped)
+    theta = cumulative = Fraction(0)
+    for i, u in enumerate(sorted(p, reverse=True), start=1):
+        cumulative += u
+        candidate = (cumulative - 1) / i
+        if u - candidate > 0:
+            theta = candidate
+    return tuple(max(x - theta, Fraction(0)) for x in p)
+
+
+def fraction_slope_digits(family, w, w2, delta):
+    """The greedy digit loop in ``Fraction`` arithmetic: the oracle of
+    ``slope_digits``, which runs the same steps in integers."""
+    delta = Fraction(delta)
+    u, u2 = _unsigned(family, w), _unsigned(family, w2)
+    x, k = family.ratio, family.dim - 1
+    diameter = 1.0 if k == 1 else math.sqrt(2.0)
+    expected = 1
+    if delta < 2 * diameter:
+        quotient = float(delta) / (2 * diameter)
+        log_quotient = (math.log(quotient) if quotient > 0 else
+                        math.log(delta.numerator) - math.log(delta.denominator)
+                        - math.log(2 * diameter))
+        expected = max(1, math.ceil(log_quotient / math.log(float(x))))
+    cap = max(10 * expected, 20)
+    digits, offset, power, t = [], [Fraction(0)] * k, Fraction(1), u2
+    while True:
+        best_j, best_d, best_t = 0, None, None
+        for j in range(family.dim):
+            pulled = [ti / x for ti in t]
+            if j > 0:
+                pulled[j - 1] = (t[j - 1] - (1 - x)) / x
+            projected = _fraction_projection(pulled)
+            d = _distsq(projected, pulled)
+            if best_d is None or d < best_d:
+                best_j, best_d, best_t = j, d, projected
+        t = best_t
+        digits.append(best_j)
+        if best_j > 0:
+            offset[best_j - 1] += power * (1 - x)
+        power *= x
+        err_sq = _distsq([power * v + o for v, o in zip(u, offset)], u2)
+        if err_sq < delta * delta:
+            break
+        if len(digits) > cap:
+            raise NonTerminationError(
+                f"no digit word of length <= {cap} reached tolerance {_exact_text(delta)}")
+    return aw.SlopeDigits(tuple(digits), len(digits), math.sqrt(float(err_sq)), u, u2)
+
+
+@st.composite
+def deep_slope_problems(draw):
+    """``slope_problems`` with tolerances down to 1e-400.
+
+    Families of ratio 2/5 stop at 1e-30: their holes run most words to
+    the iteration cap, ten times the expected length, which the Fraction
+    oracle needs seconds for.
+    """
+    family, w, w2, _ = draw(slope_problems())
+    exponent = draw(st.sampled_from([*range(1, 31), 100, 400]))
+    if family.ratio == Fraction(2, 5):
+        exponent = min(exponent, 30)
+    return family, w, w2, Fraction(1, 10 ** exponent)
+
+
+class TestIntegerSlopeDigits:
+    @settings(max_examples=80, deadline=None)
+    @given(deep_slope_problems())
+    def test_bit_identical_to_fraction_loop(self, problem):
+        family, w, w2, delta = problem
+        try:
+            expect = fraction_slope_digits(family, w, w2, delta)
+        except NonTerminationError as exc:
+            with pytest.raises(NonTerminationError) as info:
+                aw.slope_digits(family, w, w2, delta)
+            assert str(info.value) == str(exc)
+            return
+        out = aw.slope_digits(family, w, w2, delta)
+        assert (out.eps, out.n, out.reference, out.target) == \
+            (expect.eps, expect.n, expect.reference, expect.target)
+        assert out.achieved_error.hex() == expect.achieved_error.hex()
+
+    @pytest.mark.parametrize("s,signs", [(2, (0,)), (2, (1,)), (3, (0, 1)), (3, (1, 1))])
+    def test_tolerance_below_float_range(self, s, signs):
+        family = aw.dilation_family(3, 2, s, signs)
+        w = tuple(Fraction((-1) ** b, 7) for b in signs)
+        w2 = tuple(Fraction(2 * (-1) ** b, 9) for b in signs)
+        delta = Fraction(1, 10 ** 400)
+        out = aw.slope_digits(family, w, w2, delta)
+        expect = fraction_slope_digits(family, w, w2, delta)
+        assert (out.eps, out.achieved_error) == (expect.eps, expect.achieved_error)
+        assert out.achieved_error == 0.0 and out.n > 2000
 
 
 class TestOrthants:
