@@ -20,6 +20,7 @@ from .errors import BadIndexError, ScaleMismatchError, WindowTooSmallError
 from .lattice import (
     IntMatrix,
     SmithFactorization,
+    _integer_inverse,
     determinant,
     inverse_unimodular,
     smith_with_target,
@@ -28,15 +29,17 @@ from .seqcore import (
     CoefSeq,
     Window,
     _analysis,
-    _analysis_box,
+    _box_shape,
     _hull,
+    _image_box,
+    _preimage,
     _preimage_box,
     _subdivision,
-    _subdivision_box,
+    _taps,
+    _trimmed,
     _values_at,
     cross_qmf_residual,
     embed,
-    reindex,
     sample_polynomial,
     tensor,
 )
@@ -242,7 +245,12 @@ def tensor_filters(fact: SmithFactorization,
     """The filters g_eta(theta1^-1 .) of the sets under the factorization.
 
     g_eta is the tensor product of filter eta_j of sets[j]; sets[j] must
-    carry scale fact.sigma[j].
+    carry scale fact.sigma[j].  Under theta1 = I the tensors are the
+    filters as they are.  Otherwise the tensors, stacked over their hull
+    as channels, are reindexed together: one gather over the lag box of
+    ``reindex`` reads every channel, and one trim cuts each channel to
+    its nonzero support, so each filter is bit for bit its own
+    ``reindex``.
     """
     sigma = fact.sigma
     if len(sets) != len(sigma):
@@ -251,14 +259,21 @@ def tensor_filters(fact: SmithFactorization,
         if uset.scale != s_j:
             raise ScaleMismatchError(
                 f"set {j} has scale {uset.scale}, diagonal wants {s_j}")
+    etas = list(itertools.product(*[range(s_j) for s_j in sigma]))
+    tensors = [tensor([sets[j].filters[eta[j]] for j in range(len(sigma))])
+               for eta in etas]
     theta1_inv = inverse_unimodular(fact.theta1)
-    identity = theta1_inv == IntMatrix.identity(len(sigma))
-
-    filters: dict[tuple[int, ...], CoefSeq] = {}
-    for eta in itertools.product(*[range(s_j) for s_j in sigma]):
-        g_eta = tensor([sets[j].filters[eta[j]] for j in range(len(sigma))])
-        filters[eta] = g_eta if identity else reindex(g_eta, theta1_inv)
-    return filters
+    if theta1_inv != IntMatrix.identity(len(sigma)):
+        hull = _hull(tensors)
+        stack = np.stack([embed(g, hull.lo, hull.hi) for g in tensors])
+        # reindex's lag box; its index arrays stay on that box, where the
+        # kernel's strided views would pad the stack to the box's image
+        box = _preimage(theta1_inv, hull.lo, hull.hi)
+        shape = _box_shape(box)
+        lags = np.indices(shape).reshape(len(sigma), -1).T + np.array(box[0])
+        out = _values_at(hull.lo, stack, lags @ np.array(theta1_inv.entries).T)
+        tensors = _trimmed(box[0], out.reshape(len(tensors), *shape))
+    return dict(zip(etas, tensors))
 
 
 @dataclass(frozen=True)
@@ -306,27 +321,63 @@ def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
     return lags[np.all((image >= np.array(lo)) & (image <= np.array(hi)), axis=1)]
 
 
+def _has_core_lag(window: Window, xi: IntMatrix, support: Window) -> bool:
+    """Whether ``analysis_core`` is nonempty, mostly without enumerating it.
+
+    With B = [window.lo - support.lo, window.hi - support.hi], the lag
+    gamma = floor(xi^-1 B.hi) is a core lag when xi gamma lies in B, an
+    integer test; only when it fails are the lags enumerated.
+    """
+    lo = [wl - sl for wl, sl in zip(window.lo, support.lo)]
+    hi = [wh - sh for wh, sh in zip(window.hi, support.hi)]
+    adj, den = _integer_inverse(xi)
+    gamma = [sum(a * h for a, h in zip(row, hi)) // den for row in adj]
+    if all(l <= x <= h for l, x, h in zip(lo, xi.apply(gamma), hi)):
+        return True
+    return len(_core_lags(window, xi, support)) > 0
+
+
 def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarray:
     """Output cells of one subdivision step fed only by in-window data.
 
     A cell qualifies when some mask tap reaches it from a point of the
-    window and none reaches it from a point outside.  Subdividing
-    indicators counts the (point, tap) pairs reaching each cell.
-    Returns the cells as (n, s) integer rows in lexicographic order.
+    window and none reaches it from a point outside.  A tap
+    beta = xi nu + rho (nu = floor(xi^-1 beta)) reaches the cells of
+    coset rho only, the cell xi gamma + rho from the point gamma - nu.
+    So in coset rho, with N the nu of its taps, the qualifying cells are
+    xi gamma + rho for gamma in the box [window.lo + max N,
+    window.hi + min N] (componentwise), and each coset sets its box
+    through one strided view of a boolean grid over the step's image
+    box.  Returns the cells as (n, s) integer rows in lexicographic
+    order.
     """
-    indicator = CoefSeq(mask.origin, mask.data != 0).trimmed()
-    if not indicator.sum():
+    positions, _ = _taps(mask.origin, mask.data)
+    if not len(positions):
         raise WindowTooSmallError("empty subdivision output")
-    # every point whose taps can reach a cell that the window feeds; the
-    # two indicators (near points, window points) go through one call
-    near = _analysis_box(xi, _subdivision_box(xi, window, indicator.window), mask.window)
-    inside = embed(CoefSeq(window.lo, np.ones(window.shape)), near.lo, near.hi)
-    points = np.stack([np.ones(near.shape), inside])
-    lo, (fed_all, fed_inside) = _subdivision([(near.lo, points)], xi, [indicator])
-    clean = np.argwhere((fed_inside > 0) & (fed_inside == fed_all))
-    if not len(clean):
+    adj, den = _integer_inverse(xi)
+    mat = np.array(xi.entries, dtype=np.int64)
+    nu = positions @ np.array(adj, dtype=np.int64).T // den
+    rho = positions - nu @ mat.T
+    # group the taps by coset: sorted by rho, each coset is one run
+    order = np.lexsort(rho.T[::-1])
+    rho, nu = rho[order], nu[order]
+    starts = np.flatnonzero(np.r_[True, np.any(rho[1:] != rho[:-1], axis=1)])
+    lo = np.add(window.lo, np.maximum.reduceat(nu, starts))
+    shapes = np.add(window.hi, np.minimum.reduceat(nu, starts)) - lo + 1
+    image_lo, image_hi = _image_box(xi, (window.lo, window.hi),
+                                    (tuple(positions.min(axis=0)), tuple(positions.max(axis=0))))
+    clean = np.zeros(_box_shape((image_lo, image_hi)), dtype=bool)
+    # the cell xi gamma + rho sits at flat index e . (xi gamma + rho - image_lo)
+    e = np.array(clean.strides)
+    offsets = (lo @ mat.T + rho[starts] - image_lo) @ e
+    steps = tuple((mat.T @ e).tolist())
+    for offset, shape in zip(offsets.tolist(), shapes.tolist()):
+        if min(shape) > 0:
+            np.ndarray(shape, dtype=bool, buffer=clean, offset=offset, strides=steps)[...] = True
+    cells = np.argwhere(clean)
+    if not len(cells):
         raise WindowTooSmallError("no boundary-free subdivision output cells")
-    return clean + np.array(lo)
+    return cells + np.array(image_lo)
 
 
 def _fit_polynomial(points: np.ndarray, values: np.ndarray, degree: int) -> float:

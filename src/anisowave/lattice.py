@@ -2,13 +2,17 @@
 
 Dilation matrices, unimodular factors, Smith factorizations, coset
 enumeration and the shear/dilation families driving the anisotropic
-filterbank construction.  Everything in this module is exact: entries
-are Python ints or ``fractions.Fraction``, never floats.
+filterbank construction.  Everything in this module is exact and never
+touches floats.  Inverses come from the integer adjugate (m^-1 =
+adj / det), so inversion, the expansiveness test and coset membership
+run in Python integers; ``fractions.Fraction`` appears only in the
+results of ``rational_inverse`` (a ``RatMatrix``) and in the slope
+closed forms (``digit_polynomial``, ``xi_inverse_closed_form``,
+``contractivity_bound_power``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,14 +126,6 @@ class RatMatrix:
         return tuple(sum(self.entries[i][k] * Fraction(v[k]) for k in range(n))
                      for i in range(n))
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def to_int_matrix(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix.from_rows([[int(x) for x in row] for row in self.entries])
-
     def norm_inf(self) -> Fraction:
         """Maximum absolute row sum."""
         return max(sum(abs(x) for x in row) for row in self.entries)
@@ -160,67 +156,85 @@ def is_unimodular(m: IntMatrix) -> bool:
     return abs(determinant(m)) == 1
 
 
-def rational_inverse(m: IntMatrix) -> RatMatrix:
-    """Exact inverse over the rationals (Gauss-Jordan on Fractions)."""
+def _adjugate(m: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) in integers, with m . adj = det . I.
+
+    Closed-form cofactors for s <= 3; larger matrices take each cofactor
+    as a fraction-free (Bareiss) minor determinant.
+    """
+    e = m.entries
     n = m.dim
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return RatMatrix(tuple(tuple(row) for row in inv))
+    if n == 1:
+        return ((1,),), e[0][0]
+    if n == 2:
+        (a, b), (c, d) = e
+        return ((d, -b), (-c, a)), a * d - b * c
+    if n == 3:
+        (a, b, c), (d, f, g), (h, i, j) = e
+        adj = ((f * j - g * i, c * i - b * j, b * g - c * f),
+               (g * h - d * j, a * j - c * h, c * d - a * g),
+               (d * i - f * h, b * h - a * i, a * f - b * d))
+        return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+
+    def cofactor(i, j):
+        minor = IntMatrix(tuple(tuple(x for k, x in enumerate(row) if k != j)
+                                for r, row in enumerate(e) if r != i))
+        return (-1) ** (i + j) * determinant(minor)
+
+    adj = tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
+    return adj, sum(e[0][k] * adj[k][0] for k in range(n))
 
 
-@functools.lru_cache(maxsize=256)
+def rational_inverse(m: IntMatrix) -> RatMatrix:
+    """Exact inverse over the rationals: the integer adjugate over det."""
+    adj, d = _adjugate(m)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    return RatMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in adj))
+
+
 def _integer_inverse(m: IntMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj, den) with m^-1 = adj / den and den = |det m| > 0; once per matrix."""
-    d = determinant(m)
+    """(adj, den) with m^-1 = adj / den and den = |det m| > 0."""
+    adj, d = _adjugate(m)
     if d == 0:
         raise SingularMatrixError("dilation matrix is singular")
-    inv = rational_inverse(m)
-    adj = tuple(tuple(int(x * abs(d)) for x in row) for row in inv.entries)
+    if d < 0:
+        adj = tuple(tuple(-x for x in row) for row in adj)
     return adj, abs(d)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix."""
-    if not is_unimodular(m):
-        raise NotUnimodularError(f"matrix has determinant {determinant(m)}")
-    return rational_inverse(m).to_int_matrix()
+    """Integer inverse of a unimodular matrix: det . adj, as det = +-1."""
+    adj, d = _adjugate(m)
+    if abs(d) != 1:
+        raise NotUnimodularError(f"matrix has determinant {d}")
+    return IntMatrix(tuple(tuple(d * x for x in row) for row in adj))
 
 
 def is_expansive(m: IntMatrix, cap: int = EXPANSIVE_ITERATION_CAP) -> bool:
     """Exact test that all eigenvalues exceed one in modulus.
 
-    Iterates powers of the rational inverse until the maximum absolute
-    row sum drops below 1 (expansive) or the cap is reached.  A matrix
-    with |det| = 1 cannot be expansive and is rejected immediately;
-    otherwise an undecided run raises ``InconclusiveError`` rather than
-    silently returning False.
+    Iterates powers of the inverse until the maximum absolute row sum
+    drops below 1 (expansive) or the cap is reached.  With
+    m^-1 = adj / det, the k-th power has row sums below 1 exactly when
+    those of adj^k stay below |det|^k, so the powers run in integers.  A
+    matrix with |det| = 1 cannot be expansive and is rejected
+    immediately; otherwise an undecided run raises ``InconclusiveError``
+    rather than silently returning False.
     """
-    d = determinant(m)
+    adj, d = _adjugate(m)
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     if abs(d) == 1:
         # eigenvalue moduli multiply to 1, so they cannot all exceed 1
         return False
-    inv = rational_inverse(m)
-    power = inv
+    cols = list(zip(*adj))
+    power, scale = adj, abs(d)
     for _ in range(cap):
-        if power.norm_inf() < 1:
+        if max(sum(abs(x) for x in row) for row in power) < scale:
             return True
-        power = power @ inv
+        power = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in power]
+        scale *= abs(d)
     raise InconclusiveError(
         f"no power of the inverse fell below norm 1 within {cap} iterations")
 
@@ -441,15 +455,17 @@ def smith_with_target(m: IntMatrix, target: Sequence[int]) -> SmithFactorization
         ident = IntMatrix.identity(m.dim)
         return SmithFactorization(ident, target, ident)
 
+    # a similarity m = x diag(target) x^-1 already proves that the normal
+    # forms agree, so only the other branches compute them
+    x = _similarity_transform(m, target)
+    if x is not None:
+        return SmithFactorization(x, target, inverse_unimodular(x))
+
     fact_m = smith_normal_form(m)
     fact_t = smith_normal_form(IntMatrix.diagonal(target))
     if fact_m.sigma != fact_t.sigma:
         raise IncompatibleDiagonalError(
             f"normal form of target {fact_t.sigma} differs from {fact_m.sigma}")
-
-    x = _similarity_transform(m, target)
-    if x is not None:
-        return SmithFactorization(x, target, inverse_unimodular(x))
 
     theta1 = fact_m.theta1 @ inverse_unimodular(fact_t.theta1)
     theta2 = inverse_unimodular(fact_t.theta2) @ fact_m.theta2

@@ -24,7 +24,7 @@ import numpy as np
 from .dictionary import (
     AnisoFilterBank,
     UnivariateQMFSet,
-    _core_lags,
+    _has_core_lag,
     build_bank,
 )
 from .errors import (
@@ -192,7 +192,7 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
     """
     def step(box: Window, j: int) -> Window | None:
         bank = config.banks[j]
-        if not len(_core_lags(box, bank.xi, bank.support_hull())):
+        if not _has_core_lag(box, bank.xi, bank.support_hull()):
             return None
         return _analysis_box(bank.xi, box, bank.lowpass.window)
 

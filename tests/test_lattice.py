@@ -12,12 +12,15 @@ from anisowave.errors import (
     BadScalesError,
     IncompatibleDiagonalError,
     InconclusiveError,
+    NotUnimodularError,
     SingularMatrixError,
 )
 from anisowave.lattice import (
+    EXPANSIVE_ITERATION_CAP,
     IntMatrix,
     RatMatrix,
     SmithFactorization,
+    _integer_inverse,
     contractivity_bound_power,
     digit_polynomial,
     rational_inverse,
@@ -40,6 +43,113 @@ def random_unimodular(rng, s, ops=4):
         for c in range(s):
             m[i][c] += k * m[j][c]
     return IntMatrix.from_rows(m)
+
+
+def gauss_jordan_inverse(m):
+    """Oracle: the exact inverse by Gauss-Jordan elimination in Fractions."""
+    n = m.dim
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return RatMatrix(tuple(tuple(row) for row in inv))
+
+
+def fraction_power_expansive(m, cap=EXPANSIVE_ITERATION_CAP):
+    """Oracle: powers of the Fraction inverse until the row-sum norm drops below 1."""
+    d = aw.determinant(m)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    if abs(d) == 1:
+        return False
+    inv = gauss_jordan_inverse(m)
+    power = inv
+    for _ in range(cap):
+        if power.norm_inf() < 1:
+            return True
+        power = power @ inv
+    raise InconclusiveError("undecided")
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the library error it raises."""
+    try:
+        return fn(*args)
+    except (SingularMatrixError, InconclusiveError, NotUnimodularError) as exc:
+        return type(exc)
+
+
+any_matrices = st.integers(min_value=1, max_value=4).flatmap(small_matrices)
+
+
+@st.composite
+def unimodular_products(draw):
+    """Products of up to six elementary shears and a row permutation."""
+    s = draw(st.integers(1, 4))
+    rows = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
+    for _ in range(draw(st.integers(0, 6)) if s > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(s) for j in range(s) if i != j]))
+        k = draw(st.integers(-3, 3))
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    perm = draw(st.permutations(range(s)))
+    return IntMatrix.from_rows([rows[p] for p in perm])
+
+
+class TestAdjugateOracle:
+    """Integer adjugate inverses against the Fraction Gauss-Jordan oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_matrices)
+    def test_rational_inverse(self, m):
+        got = outcome(rational_inverse, m)
+        expect = outcome(gauss_jordan_inverse, m)
+        assert got == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_matrices)
+    def test_integer_inverse(self, m):
+        expect = outcome(gauss_jordan_inverse, m)
+        if expect is SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                _integer_inverse(m)
+            return
+        den = abs(aw.determinant(m))
+        adj, got_den = _integer_inverse(m)
+        assert got_den == den
+        assert adj == tuple(tuple(int(x * den) for x in row) for row in expect.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unimodular_products())
+    def test_inverse_unimodular(self, u):
+        expect = gauss_jordan_inverse(u)
+        assert aw.inverse_unimodular(u).entries == expect.entries
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_matrices)
+    def test_inverse_unimodular_rejects_other_determinants(self, m):
+        d = aw.determinant(m)
+        if abs(d) == 1:
+            assert aw.inverse_unimodular(m).entries == gauss_jordan_inverse(m).entries
+        else:
+            with pytest.raises(NotUnimodularError, match=f"determinant {d}$"):
+                aw.inverse_unimodular(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_matrices)
+    def test_is_expansive(self, m):
+        assert outcome(aw.is_expansive, m) == outcome(fraction_power_expansive, m)
 
 
 class TestDeterminant:
@@ -193,7 +303,7 @@ class TestSmithWithTarget:
 
 def reference_cosets(xi):
     """Oracle: the bounding-box scan with an exact Fraction inverse per point."""
-    inv = rational_inverse(xi)
+    inv = gauss_jordan_inverse(xi)
     s = xi.dim
     corners = [xi.apply(c) for c in itertools.product((0, 1), repeat=s)]
     lo = [min(c[i] for c in corners) for i in range(s)]

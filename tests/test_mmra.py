@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -18,9 +19,10 @@ from anisowave.errors import (
     OutOfSimplexError,
     WindowTooSmallError,
 )
+from anisowave.dictionary import _core_lags
 from anisowave.lattice import IntMatrix
 from anisowave.mmra import _distsq, _exact_text, _slope_value, _unsigned
-from anisowave.seqcore import CoefSeq, Window, max_abs_diff
+from anisowave.seqcore import CoefSeq, Window, _analysis_box, max_abs_diff
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +247,49 @@ class TestTree:
     def test_window_too_small(self, config):
         with pytest.raises(WindowTooSmallError):
             aw.decompose(config, CoefSeq((0, 0), np.ones((4, 4))))
+
+
+@pytest.fixture(scope="module")
+def chain_configs(sets):
+    return {2: aw.build_config(3, 2, 2, None, sets, depth=1),
+            3: aw.build_config(3, 2, 3, (1, 0), sets, depth=1)}
+
+
+def enumerated_chain(config, window, levels, path):
+    """Oracle: every analysis step keeps a lag, found by enumerating them all."""
+    boxes = [window]
+    for level in range(levels):
+        digits = range(config.m) if path is None else (path[level],)
+        children = []
+        for box in boxes:
+            for j in digits:
+                bank = config.banks[j]
+                if not len(_core_lags(box, bank.xi, bank.support_hull())):
+                    return False
+                children.append(_analysis_box(bank.xi, box, bank.lowpass.window))
+        boxes = children
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_too_small_matches_enumeration(chain_configs, data):
+    s = data.draw(st.sampled_from([2, 3]))
+    base = chain_configs[s]
+    depth = data.draw(st.integers(1, 3 if s == 2 else 2))
+    if data.draw(st.booleans()):
+        path = tuple(data.draw(st.integers(0, base.m - 1)) for _ in range(depth))
+        config = dataclasses.replace(base, depth=None, path=path)
+    else:
+        path, config = None, dataclasses.replace(base, depth=depth)
+    shape = tuple(data.draw(st.integers(1, 80 if s == 2 else 24)) for _ in range(s))
+    origin = tuple(data.draw(st.integers(-5, 5)) for _ in range(s))
+    signal = CoefSeq(origin, np.ones(shape))
+    if enumerated_chain(config, signal.window, depth, path):
+        aw.decompose(config, signal)
+    else:
+        with pytest.raises(WindowTooSmallError):
+            aw.decompose(config, signal)
 
 
 class TestSlopeError:

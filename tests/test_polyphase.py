@@ -9,11 +9,13 @@ convolution, called here, since the library's own ``convolve`` is the
 kernel under test.  Property tests compare the kernel with it over
 random expansive dilations in two and three dimensions.  The boundary
 cores that verification uses are checked against point loops the same
-way.
+way, and a bank's one-call tensor filters against one ``reindex`` per
+filter.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,12 +25,21 @@ from scipy.signal import convolve as scipy_convolve
 from scipy.signal import correlate as scipy_correlate
 
 import anisowave as aw
-from anisowave.dictionary import _subdivision_core, analysis_core
+from anisowave.dictionary import (
+    FAMILIES,
+    _core_lags,
+    _has_core_lag,
+    _subdivision_core,
+    analysis_core,
+    tensor_filters,
+)
 from anisowave.errors import InconclusiveError, WindowTooSmallError
 from anisowave.lattice import IntMatrix, determinant, rational_inverse
 from anisowave.seqcore import (
     CoefSeq,
     Window,
+    _image_box,
+    _lag_box,
     max_abs_diff,
     polyphase_analysis,
     polyphase_subdivision,
@@ -411,3 +422,90 @@ def test_subdivision_core_matches_point_loop(case):
         return
     got = _subdivision_core(c.window, xi, mask)
     assert [tuple(row) for row in got.tolist()] == expect
+
+
+@PROPERTY
+@given(cases(), st.data())
+def test_core_box_test_matches_enumeration(case, data):
+    xi, c, f = case
+    grow = data.draw(st.lists(st.integers(0, 6), min_size=c.dim, max_size=c.dim))
+    window = Window(c.window.lo, tuple(h + g for h, g in zip(c.window.hi, grow)))
+    assert _has_core_lag(window, xi, f.window) == bool(len(_core_lags(window, xi, f.window)))
+
+
+# -- bank pieces -----------------------------------------------------------------
+
+#: a sheared 3-D dilation whose preimage boxes are far larger than its windows
+SHEARED3 = IntMatrix.from_rows([[2, -2, -2], [-3, 5, 2], [0, 2, 2]])
+
+
+@st.composite
+def smith_sets(draw):
+    """A Smith factorization of U diag(sigma) V, similar (V = U^-1) or not,
+    with univariate sets of the matching scales, some with trimmed filters."""
+    s = draw(st.sampled_from([2, 3]))
+    sigma = tuple(draw(st.sampled_from([2, 3])) for _ in range(s))
+    u = _unimodular(draw, s)
+    v = aw.inverse_unimodular(u) if draw(st.booleans()) else _unimodular(draw, s)
+    fact = aw.smith_with_target(u @ IntMatrix.diagonal(sigma) @ v, sigma)
+    sets = []
+    for k in sigma:
+        uset = FAMILIES[draw(st.sampled_from(["haar", "db2"])) if k == 2 else "cl3"]()
+        if draw(st.booleans()):
+            uset = aw.UnivariateQMFSet(k, tuple(g.trimmed() for g in uset.filters))
+        sets.append(uset)
+    return fact, tuple(sets)
+
+
+def reindex_reference(g, theta):
+    """``reindex(g, theta)``; the index oracle stands in past 2**22 padded cells.
+
+    ``reindex`` copies g into the image of its lag box, which some
+    composed Smith factors blow up to gigabytes; ``oracle_gather`` reads
+    the same cells through index arrays (and equals ``reindex`` bit for
+    bit, ``test_reindex_matches_oracle_exactly``).
+    """
+    pulse = ((0,) * g.dim, (0,) * g.dim)
+    lo, hi = _image_box(theta, _lag_box(theta, (g.window.lo, g.window.hi), pulse), pulse)
+    if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2 ** 22:
+        return oracle_gather(g, theta)
+    return aw.reindex(g, theta)
+
+
+@PROPERTY
+@given(smith_sets())
+def test_tensor_filters_match_reindex_per_filter(case):
+    fact, sets = case
+    theta1_inv = aw.inverse_unimodular(fact.theta1)
+    got = tensor_filters(fact, sets)
+    assert list(got) == list(itertools.product(*[range(k) for k in fact.sigma]))
+    for eta, f in got.items():
+        g = aw.tensor([sets[j].filters[e] for j, e in enumerate(eta)])
+        expect = (g if theta1_inv == IntMatrix.identity(len(eta))
+                  else reindex_reference(g, theta1_inv))
+        assert f.origin == expect.origin
+        assert f.data.shape == expect.data.shape
+        assert f.data.tobytes() == expect.data.tobytes()
+
+
+def test_sheared_subdivision_core_matches_point_loop():
+    mask = CoefSeq((0, 0, 0), np.ones((2, 2, 2)))
+    window = Window((0, 0, 0), (5, 5, 5))
+    got = _subdivision_core(window, SHEARED3, mask)
+    assert [tuple(row) for row in got.tolist()] == oracle_subdivision_core(
+        window, SHEARED3, mask)
+
+
+def test_sheared_subdivision_core_memory():
+    # the step's image box holds 0.35 M cells, but the image of its
+    # preimage box (every point that can reach it) holds 1.1e8
+    mask = CoefSeq((0, 0, 0), np.ones((2, 2, 2)))
+    window = Window((0, 0, 0), (11, 11, 11))
+    tracemalloc.start()
+    try:
+        cells = _subdivision_core(window, SHEARED3, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cells)
+    assert peak < 64 * 2 ** 20
