@@ -30,6 +30,7 @@ from .seqcore import (
     Window,
     _analysis,
     _box_shape,
+    _gather,
     _hull,
     _image_box,
     _preimage,
@@ -266,13 +267,9 @@ def tensor_filters(fact: SmithFactorization,
     if theta1_inv != IntMatrix.identity(len(sigma)):
         hull = _hull(tensors)
         stack = np.stack([embed(g, hull.lo, hull.hi) for g in tensors])
-        # reindex's lag box; its index arrays stay on that box, where the
-        # kernel's strided views would pad the stack to the box's image
         box = _preimage(theta1_inv, hull.lo, hull.hi)
-        shape = _box_shape(box)
-        lags = np.indices(shape).reshape(len(sigma), -1).T + np.array(box[0])
-        out = _values_at(hull.lo, stack, lags @ np.array(theta1_inv.entries).T)
-        tensors = _trimmed(box[0], out.reshape(len(tensors), *shape))
+        out = _gather(hull.lo, stack, theta1_inv, box, (0,) * len(sigma))
+        tensors = _trimmed(box[0], out)
     return dict(zip(etas, tensors))
 
 

@@ -423,7 +423,9 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     test over all filters trims each result to its nonzero support.
     The views read c's own array when every point they reach lies in
     c's box; only otherwise is c copied into a zero-padded box.  A
-    one-tap filter (``downsample``, ``reindex``) scales its single view.
+    one-tap filter (``downsample``, ``reindex``) scales its single view
+    when it lies in c's box, and otherwise a gather of the lag box's
+    points alone: a shear never pads c to the image of the lag box.
     This is ``_analysis`` of c's array with no channel axis.
     """
     return _trimmed(*_analysis(c.origin, c.data, xi, filters))
@@ -453,17 +455,23 @@ def _analysis(origin: Vec, data: np.ndarray, xi: IntMatrix,
     lo = box[0]
     src_lo, src_hi = _image_box(xi, box, hull)
     c_lo, c_hi = c_box
-    if all(a <= b for a, b in zip(c_lo + src_hi, src_lo + c_hi)):  # inside c's box
-        src, src_lo = data, c_lo
-    else:
-        src = _embed(origin, data, src_lo, src_hi)
+    in_box = all(a <= b for a, b in zip(c_lo + src_hi, src_lo + c_hi))
     shape = _box_shape(box)
     cells = math.prod(shape)
     positions, weights = _union_taps(filters, hull)
+    scale = weights.reshape(-1, *(1,) * (len(channels) + s))
+    if len(positions) == 1 and not in_box:
+        return lo, _gather(origin, data, xi, box, positions[0]) * scale
+    if in_box:
+        src, src_lo = data, c_lo
+    else:
+        src = _embed(origin, data, src_lo, src_hi)
     if len(positions):
         view, rows = _shifted_views(src, src_lo, xi, lo, shape, positions)
     if len(positions) == 1:
-        return lo, view[rows[0]] * weights.reshape(-1, *(1,) * (view.ndim - 1))
+        # C order, as the other routes give it: a sheared view's own
+        # layout would make ``_trimmed`` copy a row it keeps whole
+        return lo, np.multiply(view[rows[0]], scale, order="C")
     out = np.zeros((len(filters), width, cells))
     chunk = max(1, _STACK_CELLS // (cells * width))
     for k in range(0, len(positions), chunk):
@@ -475,6 +483,34 @@ def _analysis(origin: Vec, data: np.ndarray, xi: IntMatrix,
             for acc_j, layer in zip(acc, layers):
                 acc_j += w @ layer
     return lo, out.reshape(len(filters), *channels, *shape)
+
+
+def _gather(origin: Vec, data: np.ndarray, m: IntMatrix, box: Box,
+            shift: Sequence[int]) -> np.ndarray:
+    """The cells of data at m gamma + shift for every gamma in box, zero
+    where that point leaves data's box.
+
+    The last m.dim axes of data lie over the box at origin; axes ahead
+    of them are channels, and the result is (*channels, *box shape).
+    The index arrays span the box alone, however far m shears its image.
+    """
+    s = m.dim
+    shape = _box_shape(box)
+    lattice = data.shape[-s:]
+    axes = [np.arange(l, h + 1).reshape([-1 if j == i else 1 for j in range(s)])
+            for i, (l, h) in enumerate(zip(*box))]
+    flat = np.zeros(shape, dtype=np.int64)
+    inside = np.ones(shape, dtype=bool)
+    stride = math.prod(lattice)
+    for row, b, o, n in zip(m.entries, shift, origin, lattice):
+        point = sum(a * axis for a, axis in zip(row, axes)) + (int(b) - o)
+        inside &= (point >= 0) & (point < n)
+        stride //= n
+        point *= stride
+        flat += point
+    # a point off the box reads a clipped index, then the exact zero
+    cells = data.reshape(*data.shape[:-s], -1).take(flat, axis=-1, mode="clip")
+    return np.where(inside, cells, 0.0)
 
 
 def _trimmed(lo: Vec, out: np.ndarray) -> list[CoefSeq]:

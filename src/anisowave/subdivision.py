@@ -7,12 +7,11 @@ highpass step followed by lowpass refinement.  Mixed dilation chains
 (one lowpass step per digit, then a refinement tail) sample the jointly
 refinable limit functions of a dilation family.
 
-Every iteration runs through the polyphase kernel on the full grid,
-with one exception: ``wavelet_samples`` renders a bank whose Smith
-factorization is a similarity in its Smith frame, as a tensor product
-of 1-D cascades written once into the grid (the conjugation identity).
-``conjugation_check`` keeps iterating the sheared scheme through the
-kernel, so the identity that route relies on stays checked.
+``wavelet_samples`` renders a bank whose Smith factorization is a
+similarity (diagonal banks included) in its Smith frame, as a tensor
+product of 1-D cascades written once into the grid (the conjugation
+identity).  All else iterates the polyphase kernel on the full grid,
+``conjugation_check`` included, so the identity stays checked.
 """
 
 from __future__ import annotations
@@ -141,14 +140,14 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     product of one 1-D cascade per axis (scale sigma_j) composed with
     theta1^-1.  The 1-D cascades are multiplied out once, straight into
     the zeroed window through a strided view along theta1, which skips
-    the sheared box's padding.  Otherwise the r-1 steps run on the full
-    grid through the polyphase kernel: for non-similar banks, for banks
-    read without trustworthy sets, if the tensor support would not map
-    into the window, and for theta1 = I.  In that last case the
-    scaling function stays bit for bit ``cascade`` of the lowpass, which
-    a product of 1-D cascades matches only to rounding (~1e-15).
+    the sheared box's padding; a diagonal bank (theta1 = I) is the plain
+    outer product.  The scaling function then matches ``cascade`` of the
+    lowpass to rounding (~1e-15), not bit for bit.  Otherwise the r-1
+    steps run on the full grid through the polyphase kernel: for
+    non-similar banks, for banks read without trustworthy sets, and if
+    the tensor support would not map into the window.
     ``conjugation_check`` never takes this route: it iterates the
-    sheared scheme through the kernel, so the identity the route relies
+    bank's scheme through the kernel, so the identity the route relies
     on stays checked rather than assumed.
     """
     if r < 1:
@@ -169,10 +168,10 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
 
 
 def _in_frame(bank: AnisoFilterBank) -> bool:
-    """Whether ``wavelet_samples`` renders the bank as a tensor product."""
-    ident = IntMatrix.identity(bank.dim)
-    theta1, theta2 = bank.fact.theta1, bank.fact.theta2
-    return bank.sets is not None and theta1 != ident and theta2 @ theta1 == ident
+    """Whether ``wavelet_samples`` renders the bank as a tensor product:
+    it knows its sets and its factorization is a similarity."""
+    fact = bank.fact
+    return bank.sets is not None and fact.theta2 @ fact.theta1 == IntMatrix.identity(bank.dim)
 
 
 def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,

@@ -354,6 +354,65 @@ def test_reindex_matches_oracle_exactly(case, data):
     assert not np.shares_memory(got.data, c.data)
 
 
+def leaves_box(c, xi, f):
+    """Whether the views of a one-tap analysis of c would reach past c's box."""
+    box = (c.window.lo, c.window.hi)
+    hull = (f.window.lo, f.window.hi)
+    lags = _lag_box(xi, box, hull)
+    if lags is None:
+        return False
+    lo, hi = _image_box(xi, lags, hull)
+    return not (Window(*box).contains(lo) and Window(*box).contains(hi))
+
+
+@PROPERTY
+@given(cases(), st.data())
+def test_sheared_one_tap_analysis_matches_oracle(case, data):
+    # the view leaves c's box: the lags are gathered with zeros off it, exactly
+    xi, c, _ = case
+    s = c.dim
+    theta = IntMatrix.identity(s)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.permutations(range(s)))[:2]
+        rows = [[int(a == b) for b in range(s)] for a in range(s)]
+        rows[i][j] = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        theta = IntMatrix.from_rows(rows) @ theta
+    beta = tuple(data.draw(st.integers(-3, 3)) for _ in range(s))
+    unit = CoefSeq(beta, np.ones((1,) * s))
+    tap = unit.scaled(data.draw(st.sampled_from([1.0, -2.5])))
+    pulse = aw.delta(s)
+    assume(leaves_box(c, theta, pulse) or leaves_box(c, xi, tap))
+    assert_same(aw.reindex(c, theta), oracle_analysis(c, pulse, theta), 1.0, tol=0.0)
+    assert_same(aw.downsample(c, xi), oracle_analysis(c, pulse, xi), 1.0, tol=0.0)
+    got = polyphase_analysis(c, xi, [tap])[0]
+    assert_same(got, oracle_analysis(c, tap, xi), 1.0, tol=0.0)
+    shifted = polyphase_analysis(c, theta, [unit])[0]
+    assert_same(shifted, oracle_analysis(c, unit, theta), 1.0, tol=0.0)
+
+
+#: theta1 of a composed Smith branch (xi = U diag(3, 2, 3) V)
+WIDE_THETA1 = IntMatrix.from_rows([[1, -1, 0], [4, -5, -4], [-7, 9, 7]])
+
+
+def test_sheared_reindex_memory():
+    # reindex of a 6x2x6 array by theta1^-1 has a 7x46x80 lag box, whose
+    # image under the shear is a 638x632x176 (541 MiB) box
+    theta = aw.inverse_unimodular(WIDE_THETA1)
+    c = CoefSeq((0, 0, 0), np.random.RandomState(5).randn(6, 2, 6))
+    pulse = ((0, 0, 0), (0, 0, 0))
+    box = _lag_box(theta, (c.window.lo, c.window.hi), pulse)
+    assert Window(*box).shape == (7, 46, 80)
+    assert Window(*_image_box(theta, box, pulse)).shape == (638, 632, 176)
+    tracemalloc.start()
+    try:
+        got = aw.reindex(c, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert_same(got, oracle_gather(c, theta), 1.0, tol=0.0)
+
+
 # -- the worked sheared bank -------------------------------------------------
 
 def test_sheared_bank_analysis_and_synthesis(bank1):
@@ -460,10 +519,10 @@ def smith_sets(draw):
 def reindex_reference(g, theta):
     """``reindex(g, theta)``; the index oracle stands in past 2**22 padded cells.
 
-    ``reindex`` copies g into the image of its lag box, which some
-    composed Smith factors blow up to gigabytes; ``oracle_gather`` reads
-    the same cells through index arrays (and equals ``reindex`` bit for
-    bit, ``test_reindex_matches_oracle_exactly``).
+    Some composed Smith factors shear g's lag box onto an image of
+    gigabytes; there ``oracle_gather`` reads the same cells through its
+    own index arrays (and equals ``reindex`` bit for bit,
+    ``test_reindex_matches_oracle_exactly``).
     """
     pulse = ((0,) * g.dim, (0,) * g.dim)
     lo, hi = _image_box(theta, _lag_box(theta, (g.window.lo, g.window.hi), pulse), pulse)
