@@ -29,18 +29,19 @@ from .seqcore import (
     CoefSeq,
     Window,
     _analysis,
+    _box_hull,
     _box_shape,
     _gather,
-    _hull,
     _image_box,
     _preimage,
-    _preimage_box,
+    _seq_box,
+    _shifted_views,
+    _stacked,
     _subdivision,
     _taps,
     _trimmed,
     _values_at,
     cross_qmf_residual,
-    embed,
     sample_polynomial,
     tensor,
 )
@@ -199,7 +200,7 @@ class AnisoFilterBank:
 
     def support_hull(self) -> Window:
         """Smallest box containing every filter's support."""
-        return _hull(list(self.filters.values()))
+        return Window(*_box_hull(map(_seq_box, self.filters.values())))
 
     def residual_matrix(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
         """Cross-QMF residual for every ordered pair of filters.
@@ -214,9 +215,9 @@ class AnisoFilterBank:
         """
         indices = self.indices()
         filters = [self.filters[eta] for eta in indices]
-        hull = self.support_hull()
-        stack = np.stack([embed(f, hull.lo, hull.hi) for f in filters])
-        lo, lagged = _analysis(hull.lo, stack, self.xi, filters)
+        hull = _box_hull(map(_seq_box, filters))
+        stack = _stacked([(f.origin, f.data) for f in filters], hull)
+        lo, lagged = _analysis(hull[0], stack, self.xi, filters)
         # lagged[k, j] correlates filter j with filter k; the lag box of a
         # stack over the hull always holds the zero lag
         diagonal = np.arange(len(filters))
@@ -265,10 +266,10 @@ def tensor_filters(fact: SmithFactorization,
                for eta in etas]
     theta1_inv = inverse_unimodular(fact.theta1)
     if theta1_inv != IntMatrix.identity(len(sigma)):
-        hull = _hull(tensors)
-        stack = np.stack([embed(g, hull.lo, hull.hi) for g in tensors])
-        box = _preimage(theta1_inv, hull.lo, hull.hi)
-        out = _gather(hull.lo, stack, theta1_inv, box, (0,) * len(sigma))
+        hull = _box_hull(map(_seq_box, tensors))
+        stack = _stacked([(g.origin, g.data) for g in tensors], hull)
+        box = _preimage(theta1_inv, *hull)
+        out = _gather(hull[0], stack, theta1_inv, box, (0,) * len(sigma))
         tensors = _trimmed(box[0], out)
     return dict(zip(etas, tensors))
 
@@ -310,10 +311,10 @@ def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
     hi = tuple(wh - sh for wh, sh in zip(window.hi, support.hi))
     box = None
     if all(l <= h for l, h in zip(lo, hi)):
-        box = _preimage_box(xi, Window(lo, hi))
+        box = _preimage(xi, lo, hi)
     if box is None:
         return np.zeros((0, xi.dim), dtype=np.int64)
-    lags = np.indices(box.shape, dtype=np.int64).reshape(xi.dim, -1).T + np.array(box.lo)
+    lags = np.indices(_box_shape(box), dtype=np.int64).reshape(xi.dim, -1).T + np.array(box[0])
     image = lags @ np.array(xi.entries, dtype=np.int64).T
     return lags[np.all((image >= np.array(lo)) & (image <= np.array(hi)), axis=1)]
 
@@ -343,10 +344,10 @@ def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarra
     coset rho only, the cell xi gamma + rho from the point gamma - nu.
     So in coset rho, with N the nu of its taps, the qualifying cells are
     xi gamma + rho for gamma in the box [window.lo + max N,
-    window.hi + min N] (componentwise), and each coset sets its box
-    through one strided view of a boolean grid over the step's image
-    box.  Returns the cells as (n, s) integer rows in lexicographic
-    order.
+    window.hi + min N] (componentwise), and the cosets set their boxes
+    through ``_shifted_views`` views of a boolean grid over the step's
+    image box.  Returns the cells as (n, s) integer rows in
+    lexicographic order.
     """
     positions, _ = _taps(mask.origin, mask.data)
     if not len(positions):
@@ -361,16 +362,17 @@ def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarra
     starts = np.flatnonzero(np.r_[True, np.any(rho[1:] != rho[:-1], axis=1)])
     lo = np.add(window.lo, np.maximum.reduceat(nu, starts))
     shapes = np.add(window.hi, np.minimum.reduceat(nu, starts)) - lo + 1
-    image_lo, image_hi = _image_box(xi, (window.lo, window.hi),
+    image_lo, image_hi = _image_box(xi, window,
                                     (tuple(positions.min(axis=0)), tuple(positions.max(axis=0))))
     clean = np.zeros(_box_shape((image_lo, image_hi)), dtype=bool)
-    # the cell xi gamma + rho sits at flat index e . (xi gamma + rho - image_lo)
-    e = np.array(clean.strides)
-    offsets = (lo @ mat.T + rho[starts] - image_lo) @ e
-    steps = tuple((mat.T @ e).tolist())
-    for offset, shape in zip(offsets.tolist(), shapes.tolist()):
+    # coset rho's box is the points xi (lo + i) + rho; cosets whose boxes
+    # share a shape (a bank's all do) share one view
+    shifts = lo @ mat.T + rho[starts]
+    for shape in set(map(tuple, shapes.tolist())):
         if min(shape) > 0:
-            np.ndarray(shape, dtype=bool, buffer=clean, offset=offset, strides=steps)[...] = True
+            view, rows = _shifted_views(clean, image_lo, xi, (0,) * xi.dim, shape,
+                                        shifts[(shapes == shape).all(axis=1)])
+            view[rows] = True
     cells = np.argwhere(clean)
     if not len(cells):
         raise WindowTooSmallError("no boundary-free subdivision output cells")

@@ -41,7 +41,7 @@ from .lattice import DilationFamily, dilation_family
 from .seqcore import (
     CoefSeq,
     Window,
-    _analysis_box,
+    _lag_box,
     max_abs_diff,
     polyphase_analysis,
     polyphase_subdivision,
@@ -194,7 +194,8 @@ def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
         bank = config.banks[j]
         if not _has_core_lag(box, bank.xi, bank.support_hull()):
             return None
-        return _analysis_box(bank.xi, box, bank.lowpass.window)
+        # a core lag is a lag of the lowpass, so its lag box is not empty
+        return Window(*_lag_box(bank.xi, box, bank.lowpass.window))
 
     boxes = [window]
     for level in range(levels):

@@ -28,21 +28,23 @@ special cases with one operand, which take the per-filter path without
 the union: ``convolve`` is subdivision with xi = I, ``upsample`` is
 subdivision with the pulse as mask, and ``downsample`` and ``reindex``
 are analysis with the pulse as the only filter.  The box of a step is
-computed here only, on plain (lo, hi) tuples inside the kernel;
-``_analysis_box`` and ``_subdivision_box`` give it to the other modules
-as a ``Window``.  Only numpy is needed.
+computed here only, on plain (lo, hi) tuples; a ``Window`` unpacks as
+one, so other modules call the box helpers directly.  Padding, point
+reads and strided writes have one routine each: ``_stacked``, ``_read``
+and ``_shifted_views``.  Only numpy is needed.
 
 Inside the library the kernel also carries a stack of inputs: ``_analysis``
 and ``_subdivision`` take arrays whose last s axes lie on the lattice
 and whose leading axes are channels.  Every gathered view, dot product
 and strided add then serves all channels, and each channel gets exactly
-the arithmetic of a call on it alone (the channels lead so that each
-one stays a contiguous block for those products and adds).  The public
-calls on ``CoefSeq`` are the case without channels, and each bank check
-in ``dictionary`` is one such call: the cross-QMF residuals correlate
-every filter, stacked as channels, with every filter, and polynomial
-reproduction runs every monomial through one analysis and one
-subdivision call.
+the arithmetic of a call on it alone: analysis splits its taps into the
+chunks of a one-channel call and hands each channel's gathered taps to
+its product as one contiguous block, so the two agree bit for bit.  The
+public calls on ``CoefSeq`` are the case without channels, and each
+bank check in ``dictionary`` is one such call: the cross-QMF residuals
+correlate every filter, stacked as channels, with every filter, and
+polynomial reproduction runs every monomial through one analysis and
+one subdivision call.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ class Window:
 
     def points(self):
         return itertools.product(*[range(l, h + 1) for l, h in zip(self.lo, self.hi)])
+
+    def __iter__(self):
+        """Unpack as the kernel's (lo, hi) box."""
+        return iter((self.lo, self.hi))
 
 
 class CoefSeq:
@@ -159,13 +165,10 @@ class CoefSeq:
 
 def _values_at(origin: Sequence[int], data: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Values of an array over the box at origin at every row of an (n, s)
-    integer array, zero outside the box.  Axes of data ahead of its last s
-    (lattice) axes are channels: the result is (*channels, n)."""
+    integer array, zero outside the box, by ``_read``.  Axes of data ahead
+    of its last s (lattice) axes are channels: the result is (*channels, n)."""
     rel = np.asarray(points, dtype=np.int64) - np.asarray(origin)
-    inside = np.all((rel >= 0) & (rel < np.asarray(data.shape[-len(origin):])), axis=1)
-    out = np.zeros((*data.shape[:-len(origin)], len(rel)))
-    out[..., inside] = data[(..., *rel[inside].T)]
-    return out
+    return _read(data, len(origin), (len(rel),), rel.T)
 
 
 def delta(s: int) -> CoefSeq:
@@ -194,7 +197,8 @@ def correlate(a: CoefSeq, b: CoefSeq) -> CoefSeq:
 
 # Boxes inside the kernel are plain (lo, hi) tuples of inclusive corners:
 # the kernel builds several per call, and a validated ``Window`` costs
-# about a microsecond each.  ``Window`` stays the type at the API.
+# about a microsecond each.  ``Window`` stays the type at the API, and
+# unpacks as such a tuple, so every box helper takes either.
 Box = tuple[Vec, Vec]
 
 
@@ -248,28 +252,6 @@ def _image_box(xi: IntMatrix, window: Box, hull: Box) -> Box:
                for row in xi.entries)
     return (tuple(a + b for a, b in zip(lo, hlo)),
             tuple(a + b for a, b in zip(hi, hhi)))
-
-
-def _preimage_box(m: IntMatrix, window: Window) -> Window | None:
-    """``Window`` form of ``_preimage``."""
-    box = _preimage(m, window.lo, window.hi)
-    return None if box is None else Window(*box)
-
-
-def _hull(seqs: Sequence[CoefSeq]) -> Window:
-    """Smallest window containing the box of every sequence."""
-    return Window(*_box_hull(map(_seq_box, seqs)))
-
-
-def _analysis_box(xi: IntMatrix, window: Window, hull: Window) -> Window | None:
-    """``Window`` form of ``_lag_box``."""
-    box = _lag_box(xi, (window.lo, window.hi), (hull.lo, hull.hi))
-    return None if box is None else Window(*box)
-
-
-def _subdivision_box(xi: IntMatrix, window: Window, hull: Window) -> Window:
-    """``Window`` form of ``_image_box``."""
-    return Window(*_image_box(xi, (window.lo, window.hi), (hull.lo, hull.hi)))
 
 
 def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
@@ -394,17 +376,26 @@ def _union_taps(seqs: Sequence[CoefSeq], hull: Box) -> tuple[np.ndarray, np.ndar
 
 
 def _stacked(arrays: Sequence[tuple[Vec, np.ndarray]], box: Box) -> np.ndarray:
-    """The arrays as rows of one zero-padded array over a box holding them all.
+    """The arrays as rows of one array over the box, zero-padded and cropped to it.
 
-    Each array's last len(box[0]) axes lie over the box at its origin;
-    axes ahead of them are channels, the same in every array.
+    box is (lo, hi).  Each array's last len(lo) axes lie over the box at
+    its origin; axes ahead of them are channels, the same in every
+    array.  Row k holds array k where the two boxes meet, zeros elsewhere.
     """
-    s = len(box[0])
+    lo, hi = box
+    s = len(lo)
     channels = arrays[0][1].shape[:-s]
-    out = np.zeros((len(arrays), *channels, *_box_shape(box)))
+    shape = _box_shape(box)
+    out = np.zeros((len(arrays), *channels, *shape))
     for row, (origin, data) in zip(out, arrays):
-        row[(..., *[slice(o - l, o - l + n) for o, l, n
-                    in zip(origin, box[0], data.shape[-s:])])] = data
+        at = [slice(o - l, o - l + n) for o, l, n in zip(origin, lo, data.shape[-s:])]
+        if any(x.start < 0 or x.stop > n for x, n in zip(at, shape)):
+            # crop to the part of data in the box (empty slices where none is)
+            data = data[(..., *[slice(max(l - o, 0), max(h + 1 - o, 0))
+                                for o, l, h in zip(origin, lo, hi)])]
+            at = [slice(max(o - l, 0), max(o - l, 0) + n)
+                  for o, l, n in zip(origin, lo, data.shape[-s:])]
+        row[(..., *at)] = data
     return out
 
 
@@ -440,9 +431,10 @@ def _analysis(origin: Vec, data: np.ndarray, xi: IntMatrix,
     view.  Returns (lo, out): out[k] holds filter k's lags over the one
     lag box with lowest corner lo, shaped (*channels, *box), and lags
     that no tap reaches hold exact zeros.  Each channel of each filter
-    is one matrix-vector product over the same lag box as a call on
-    that channel alone, so the two agree bit for bit while the taps'
-    gathered views fit one chunk.
+    takes the matrix-vector products of a call on that channel alone:
+    the same lag box, the same chunks of taps, and each channel's
+    gathered taps as one contiguous matrix, so the two agree bit for
+    bit.  A chunk holds up to _STACK_CELLS cells per channel.
     """
     s = xi.dim
     channels = data.shape[:-s]
@@ -465,7 +457,7 @@ def _analysis(origin: Vec, data: np.ndarray, xi: IntMatrix,
     if in_box:
         src, src_lo = data, c_lo
     else:
-        src = _embed(origin, data, src_lo, src_hi)
+        src = _stacked([(origin, data)], (src_lo, src_hi))[0]
     if len(positions):
         view, rows = _shifted_views(src, src_lo, xi, lo, shape, positions)
     if len(positions) == 1:
@@ -473,12 +465,12 @@ def _analysis(origin: Vec, data: np.ndarray, xi: IntMatrix,
         # layout would make ``_trimmed`` copy a row it keeps whole
         return lo, np.multiply(view[rows[0]], scale, order="C")
     out = np.zeros((len(filters), width, cells))
-    chunk = max(1, _STACK_CELLS // (cells * width))
+    # a one-channel call's chunks, and each channel's (taps, cells) block
+    # copied contiguous: every ``w @ layer`` is that call's product
+    chunk = max(1, _STACK_CELLS // cells)
     for k in range(0, len(positions), chunk):
-        # C order makes each channel of the gathered taps one contiguous
-        # (taps, cells) matrix
-        stack = np.ascontiguousarray(view[rows[k:k + chunk]])
-        layers = stack.reshape(-1, width, cells).transpose(1, 0, 2)
+        stack = view[rows[k:k + chunk]].reshape(-1, width, cells)
+        layers = np.ascontiguousarray(stack.transpose(1, 0, 2))
         for acc, w in zip(out, weights[:, k:k + chunk]):
             for acc_j, layer in zip(acc, layers):
                 acc_j += w @ layer
@@ -492,18 +484,31 @@ def _gather(origin: Vec, data: np.ndarray, m: IntMatrix, box: Box,
 
     The last m.dim axes of data lie over the box at origin; axes ahead
     of them are channels, and the result is (*channels, *box shape).
-    The index arrays span the box alone, however far m shears its image.
+    This is ``_read`` of one coordinate array per row of m, each over
+    the box alone, however far m shears its image.
     """
     s = m.dim
-    shape = _box_shape(box)
-    lattice = data.shape[-s:]
     axes = [np.arange(l, h + 1).reshape([-1 if j == i else 1 for j in range(s)])
             for i, (l, h) in enumerate(zip(*box))]
+    return _read(data, s, _box_shape(box),
+                 (sum(a * axis for a, axis in zip(row, axes)) + (int(b) - o)
+                  for row, b, o in zip(m.entries, shift, origin)))
+
+
+def _read(data: np.ndarray, s: int, shape: Sequence[int],
+          rel: Iterable[np.ndarray]) -> np.ndarray:
+    """The cells of data at points given axis by axis, zero off its box.
+
+    The last s axes of data lie over a box, after any channel axes.  rel
+    yields, axis by axis, the points' coordinates relative to the box's
+    lowest corner as integer arrays of the given shape; one flat index is
+    built from them in place.  The result is (*channels, *shape).
+    """
+    lattice = data.shape[-s:]
     flat = np.zeros(shape, dtype=np.int64)
     inside = np.ones(shape, dtype=bool)
     stride = math.prod(lattice)
-    for row, b, o, n in zip(m.entries, shift, origin, lattice):
-        point = sum(a * axis for a, axis in zip(row, axes)) + (int(b) - o)
+    for point, n in zip(rel, lattice):
         inside &= (point >= 0) & (point < n)
         stride //= n
         point *= stride
@@ -691,25 +696,11 @@ def sample_polynomial(terms: Iterable[tuple[float, Sequence[int]]],
 
 def embed(c: CoefSeq, lo: Vec, hi: Vec) -> np.ndarray:
     """Dense copy of c on the box [lo, hi] (zero padded, cropped to the box)."""
-    return _embed(c.origin, c.data, lo, hi)
-
-
-def _embed(origin: Vec, data: np.ndarray, lo: Vec, hi: Vec) -> np.ndarray:
-    """``embed`` of an array whose last len(lo) axes lie over the box at
-    origin; axes ahead of them (channels) ride along."""
-    s = len(lo)
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    out = np.zeros(data.shape[:-s] + shape)
-    a = [max(o, l) for o, l in zip(origin, lo)]
-    b = [min(o + n, l + m) for o, n, l, m in zip(origin, data.shape[-s:], lo, shape)]
-    if all(x < y for x, y in zip(a, b)):
-        out[(..., *(slice(x - l, y - l) for x, y, l in zip(a, b, lo)))] = \
-            data[(..., *(slice(x - o, y - o) for x, y, o in zip(a, b, origin)))]
-    return out
+    return _stacked([(c.origin, c.data)], (lo, hi))[0]
 
 
 def max_abs_diff(a: CoefSeq, b: CoefSeq) -> float:
     """Sup-norm distance treating both sequences as elements of l(Z^s)."""
     _check_dims(a, b)
-    box = _hull((a, b))
-    return float(np.abs(embed(a, box.lo, box.hi) - embed(b, box.lo, box.hi)).max())
+    box = _box_hull((_seq_box(a), _seq_box(b)))
+    return float(np.abs(embed(a, *box) - embed(b, *box)).max())

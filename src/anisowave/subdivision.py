@@ -28,10 +28,11 @@ from .errors import BadDigitError, GridMismatchError, GridTooLargeError
 from .lattice import IntMatrix, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
+    Box,
     Window,
     _check_dilation,
+    _image_box,
     _shifted_views,
-    _subdivision_box,
     delta,
     downsample,
     max_abs_diff,
@@ -69,10 +70,10 @@ def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     return polyphase_subdivision([c], op.xi, [op.mask])
 
 
-def _guarded_box(xi: IntMatrix, window: Window, hull: Window) -> Window:
-    """``_subdivision_box``, refused when it would exceed ANISO_CELL_CAP cells."""
+def _guarded_box(xi: IntMatrix, window: Box, hull: Box) -> Window:
+    """``_image_box`` as a ``Window``, refused when it would exceed ANISO_CELL_CAP cells."""
     cap = int(os.environ.get("ANISO_CELL_CAP", DEFAULT_CELL_CAP))
-    box = _subdivision_box(xi, window, hull)
+    box = Window(*_image_box(xi, window, hull))
     if box.cells > cap:
         raise GridTooLargeError(
             f"refinement would need {box.cells} cells (cap {cap})")

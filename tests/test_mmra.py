@@ -22,7 +22,7 @@ from anisowave.errors import (
 from anisowave.dictionary import _core_lags
 from anisowave.lattice import IntMatrix
 from anisowave.mmra import _distsq, _exact_text, _slope_value, _unsigned
-from anisowave.seqcore import CoefSeq, Window, _analysis_box, max_abs_diff
+from anisowave.seqcore import CoefSeq, Window, _lag_box, max_abs_diff
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +266,7 @@ def enumerated_chain(config, window, levels, path):
                 bank = config.banks[j]
                 if not len(_core_lags(box, bank.xi, bank.support_hull())):
                     return False
-                children.append(_analysis_box(bank.xi, box, bank.lowpass.window))
+                children.append(Window(*_lag_box(bank.xi, box, bank.lowpass.window)))
         boxes = children
     return True
 

@@ -8,9 +8,9 @@ in exact rationals.  Its convolutions are scipy's direct N-D
 convolution, called here, since the library's own ``convolve`` is the
 kernel under test.  Property tests compare the kernel with it over
 random expansive dilations in two and three dimensions.  The boundary
-cores that verification uses are checked against point loops the same
-way, and a bank's one-call tensor filters against one ``reindex`` per
-filter.
+cores that verification uses, and the kernel's point reads and padding,
+are checked against point loops the same way, and a bank's one-call
+tensor filters against one ``reindex`` per filter.
 """
 
 import itertools
@@ -38,8 +38,11 @@ from anisowave.lattice import IntMatrix, determinant, rational_inverse
 from anisowave.seqcore import (
     CoefSeq,
     Window,
+    _gather,
     _image_box,
     _lag_box,
+    _stacked,
+    _values_at,
     max_abs_diff,
     polyphase_analysis,
     polyphase_subdivision,
@@ -411,6 +414,78 @@ def test_sheared_reindex_memory():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert_same(got, oracle_gather(c, theta), 1.0, tol=0.0)
+
+
+# -- point reads and padding against point loops ---------------------------------
+
+@st.composite
+def channel_arrays(draw, s, side):
+    """(origin, data): data has 0-2 channel axes ahead of s lattice axes."""
+    channels = tuple(draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, 2))))
+    shape = tuple(draw(st.integers(1, side)) for _ in range(s))
+    origin = tuple(draw(st.integers(-3, 3)) for _ in range(s))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+    return origin, rng.randn(*channels, *shape)
+
+
+def channel_seqs(origin, data, s):
+    """Each channel of data as its own sequence, in C order of the channels."""
+    return [CoefSeq(origin, data[ch]) for ch in np.ndindex(*data.shape[:-s])]
+
+
+def exact_rows(got, expect):
+    """Bit equality of each channel's values with its point-loop values."""
+    assert got.shape == (len(expect), len(expect[0]))
+    for row, values in zip(got, expect):
+        assert row.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+@PROPERTY
+@given(st.data())
+def test_point_reads_match_value_loop(data):
+    # _values_at at points in and around the box, and _gather of a lag box
+    # whose image under a shear or a dilation leaves the box in part
+    s = data.draw(st.sampled_from([2, 3]))
+    origin, arr = data.draw(channel_arrays(s, 5 if s == 2 else 3))
+    seqs = channel_seqs(origin, arr, s)
+    count = data.draw(st.integers(0, 30))
+    points = np.array([[data.draw(st.integers(o - 3, o + n + 2))
+                        for o, n in zip(origin, arr.shape[-s:])] for _ in range(count)],
+                      dtype=np.int64).reshape(count, s)
+    got = _values_at(origin, arr, points)
+    assert got.shape == (*arr.shape[:-s], count)
+    exact_rows(got.reshape(len(seqs), count),
+               [[c.value(p) for p in points.tolist()] for c in seqs])
+
+    m = _unimodular(data.draw, s) if data.draw(st.booleans()) else data.draw(expansive(s))
+    lo = tuple(data.draw(st.integers(-3, 2)) for _ in range(s))
+    box = Window(lo, tuple(l + data.draw(st.integers(0, 3)) for l in lo))
+    shift = tuple(data.draw(st.integers(-2, 2)) for _ in range(s))
+    got = _gather(origin, arr, m, box, shift)
+    assert got.shape == (*arr.shape[:-s], *box.shape)
+    exact_rows(got.reshape(len(seqs), box.cells),
+               [[c.value(np.add(m.apply(g), shift)) for g in box.points()] for c in seqs])
+
+
+@PROPERTY
+@given(st.data())
+def test_stacked_pads_and_crops_like_a_point_loop(data):
+    s = data.draw(st.sampled_from([1, 2, 3]))
+    channels = tuple(data.draw(st.integers(1, 2)) for _ in range(data.draw(st.integers(0, 1))))
+    side = 5 if s < 3 else 3
+    rng = np.random.RandomState(data.draw(st.integers(0, 2 ** 32 - 1)))
+    arrays = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        shape = tuple(data.draw(st.integers(1, side)) for _ in range(s))
+        origin = tuple(data.draw(st.integers(-side, side)) for _ in range(s))
+        arrays.append((origin, rng.randn(*channels, *shape)))
+    lo = tuple(data.draw(st.integers(-2, 2)) for _ in range(s))
+    box = Window(lo, tuple(l + data.draw(st.integers(0, side)) for l in lo))
+    got = _stacked(arrays, box)
+    assert got.shape == (len(arrays), *channels, *box.shape)
+    seqs = [c for origin, arr in arrays for c in channel_seqs(origin, arr, s)]
+    exact_rows(got.reshape(len(seqs), box.cells),
+               [[c.value(p) for p in box.points()] for c in seqs])
 
 
 # -- the worked sheared bank -------------------------------------------------

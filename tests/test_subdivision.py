@@ -10,7 +10,8 @@ from anisowave.errors import GridMismatchError, GridTooLargeError
 from anisowave.lattice import IntMatrix, inverse_unimodular
 from anisowave.seqcore import (
     CoefSeq,
-    _subdivision_box,
+    Window,
+    _image_box,
     max_abs_diff,
     polyphase_subdivision,
 )
@@ -218,7 +219,7 @@ def render_cells(bank, eta, r):
     """Cells of the level-r window of filter eta, by box arithmetic alone."""
     window = bank.filter_at(eta).window
     for _ in range(r - 1):
-        window = _subdivision_box(bank.xi, window, bank.lowpass.window)
+        window = Window(*_image_box(bank.xi, window, bank.lowpass.window))
     return window.cells
 
 
