@@ -12,7 +12,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 3 resource cap exceeded.  ANISO_CELL_CAP sets the refinement grid cell
-cap.
+cap (a positive integer, default 100000000).
 """
 
 from __future__ import annotations

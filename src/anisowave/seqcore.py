@@ -33,6 +33,15 @@ one, so other modules call the box helpers directly.  Padding, point
 reads and strided writes have one routine each: ``_stacked``, ``_read``
 and ``_shifted_views``.  Only numpy is needed.
 
+Iterating one scheme (a cascade, a render, a diagnostic) is a refinement
+chain: ``_chain`` yields the successive iterates of one (xi, mask) pair,
+splits the mask's taps once for the whole chain, walks each step's box
+in Python integers and refuses a step over the cell cap before it
+allocates.  A step of the chain and a one-pair ``_subdivision`` call
+pick their route by one rule (``_loops_mask``) and run one strided-add
+loop (``_spread``), so every iterate is bit for bit that of a loop of
+``polyphase_subdivision`` calls.
+
 Inside the library the kernel also carries a stack of inputs: ``_analysis``
 and ``_subdivision`` take arrays whose last s axes lie on the lattice
 and whose leading axes are channels.  Every gathered view, dot product
@@ -52,11 +61,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, NotUnimodularError, SingularMatrixError
+from .errors import (
+    DimMismatchError,
+    GridTooLargeError,
+    NotUnimodularError,
+    SingularMatrixError,
+)
 from .lattice import IntMatrix, _integer_inverse, determinant, is_unimodular
 
 Vec = tuple[int, ...]
@@ -246,12 +260,16 @@ def _lag_box(xi: IntMatrix, window: Box, hull: Box) -> Box | None:
 def _image_box(xi: IntMatrix, window: Box, hull: Box) -> Box:
     """Output box of one subdivision step: xi applied to the window, plus the hull."""
     (wlo, whi), (hlo, hhi) = window, hull
-    lo = tuple(sum(min(a * l, a * h) for a, l, h in zip(row, wlo, whi))
-               for row in xi.entries)
-    hi = tuple(sum(max(a * l, a * h) for a, l, h in zip(row, wlo, whi))
-               for row in xi.entries)
-    return (tuple(a + b for a, b in zip(lo, hlo)),
-            tuple(a + b for a, b in zip(hi, hhi)))
+    lo, hi = [], []
+    for row, l, h in zip(xi.entries, hlo, hhi):
+        for a, x, y in zip(row, wlo, whi):
+            if a < 0:  # a x is least at the window's high corner
+                x, y = y, x
+            l += a * x
+            h += a * y
+        lo.append(l)
+        hi.append(h)
+    return tuple(lo), tuple(hi)
 
 
 def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
@@ -267,19 +285,23 @@ def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
     outside arr's buffer).  No index arrays are built: the map i -> m i
     is the stride vector m^T e, where e holds arr's element strides
     along its lattice axes, and the channel axes keep arr's own strides.
+    The strides, the base offset and the steps are Python integers; the
+    shifts' offsets are one product.
     """
-    channels = arr.ndim - m.dim
-    e = np.asarray(arr.strides[channels:], dtype=np.int64) // arr.itemsize
-    mat = np.asarray(m.entries, dtype=np.int64)
-    base = int((mat @ np.asarray(box_lo, dtype=np.int64)
-                - np.asarray(lo, dtype=np.int64)) @ e)
-    offsets = np.asarray(shifts, dtype=np.int64).reshape(-1, m.dim) @ e + base
-    first = int(offsets.min())
-    steps = (mat.T @ e) * arr.itemsize
-    view = np.ndarray((int(offsets.max()) - first + 1, *arr.shape[:channels], *shape),
-                      dtype=arr.dtype, buffer=arr, offset=first * arr.itemsize,
-                      strides=(arr.itemsize, *arr.strides[:channels],
-                               *(int(x) for x in steps)))
+    s = m.dim
+    size = arr.itemsize
+    channels = arr.ndim - s
+    e = [x // size for x in arr.strides[channels:]]
+    rows = m.entries
+    base = sum(ei * (sum(a * b for a, b in zip(row, box_lo)) - l)
+               for ei, row, l in zip(e, rows, lo))
+    steps = [size * sum(row[j] * ei for row, ei in zip(rows, e)) for j in range(s)]
+    offsets = np.asarray(shifts, dtype=np.int64).reshape(-1, s) @ np.array(e, dtype=np.int64)
+    listed = offsets.tolist()
+    first = min(listed)
+    view = np.ndarray((max(listed) - first + 1, *arr.shape[:channels], *shape),
+                      dtype=arr.dtype, buffer=arr, offset=(base + first) * size,
+                      strides=(size, *arr.strides[:channels], *steps))
     return view, offsets - first
 
 
@@ -592,7 +614,7 @@ def _subdivision(parts: Sequence[tuple[Vec, np.ndarray]], xi: IntMatrix,
     s = xi.dim
     channels = parts[0][1].shape[:-s]
     box = out_box = _box_hull(boxes)
-    by_mask = [_count_cells(data, s) >= np.count_nonzero(mask.data)
+    by_mask = [_loops_mask(data, s, np.count_nonzero(mask.data))
                for (_, data), mask in zip(parts, masks)]
     shared = sum(by_mask) > 1
     if shared:
@@ -604,24 +626,9 @@ def _subdivision(parts: Sequence[tuple[Vec, np.ndarray]], xi: IntMatrix,
         out_box = _box_hull((box, _image_box(xi, part_hull, mask_hull)))
     out = np.zeros((*channels, *_box_shape(out_box)))
     for (origin, data), mask, flag in zip(parts, masks, by_mask):
-        if flag and shared:
-            continue
-        if flag:
-            shifts, weights = _taps(mask.origin, mask.data)
-            src_lo, src, step = origin, data, xi
-        else:
-            positions, weights = _taps(origin, data)
-            if channels:  # one column of channels per cell, to scale the mask
-                weights = weights.reshape(-1, *channels, *(1,) * s)
-            shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
-            src_lo, src, step = mask.origin, mask.data, IntMatrix.identity(s)
-        if len(weights):
-            view, rows = _shifted_views(out, out_box[0], step, src_lo, src.shape[-s:],
-                                        shifts)
-            scaled = np.empty(view.shape[1:])
-            for row, w in zip(rows, weights):
-                target = view[row]
-                target += np.multiply(src, w, out=scaled)
+        if not (flag and shared):
+            _spread(out, out_box[0], xi, origin, data, mask,
+                    _taps(mask.origin, mask.data) if flag else None)
     if shared:
         shifts, weights = _union_taps([masks[k] for k in group], mask_hull)
         shape = _box_shape(part_hull)
@@ -642,6 +649,77 @@ def _subdivision(parts: Sequence[tuple[Vec, np.ndarray]], xi: IntMatrix,
         out = out[(..., *(slice(l - o, h - o + 1)
                           for l, h, o in zip(*box, out_box[0])))]
     return box[0], out
+
+
+def _loops_mask(data: np.ndarray, s: int, mask_taps: int) -> bool:
+    """The route of one subdivision pair: loop over the mask's taps unless
+    data (lattice on its last s axes) has fewer nonzero cells than that."""
+    return _count_cells(data, s) >= mask_taps
+
+
+def _spread(out: np.ndarray, out_lo: Vec, xi: IntMatrix, origin: Vec,
+            data: np.ndarray, mask: CoefSeq,
+            taps: tuple[np.ndarray, np.ndarray] | None):
+    """Add one pair's subdivision into out, whose last xi.dim axes lie over
+    the box at out_lo, by the route ``_loops_mask`` picks.
+
+    Given the mask's taps (shifts, weights), each tap beta adds its weight
+    times data into the strided view of out at xi alpha + beta.  Given
+    None, each nonzero cell alpha of data adds the mask, scaled by that
+    cell's channels, into the view at xi alpha.
+    """
+    s = xi.dim
+    if taps is not None:
+        shifts, weights = taps
+        src_lo, src, step = origin, data, xi
+    else:
+        positions, weights = _taps(origin, data)
+        channels = data.shape[:-s]
+        if channels:  # one column of channels per cell, to scale the mask
+            weights = weights.reshape(-1, *channels, *(1,) * s)
+        shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
+        src_lo, src, step = mask.origin, mask.data, IntMatrix.identity(s)
+    if len(weights):
+        view, rows = _shifted_views(out, out_lo, step, src_lo, src.shape[-s:], shifts)
+        scaled = np.empty(view.shape[1:])
+        for row, w in zip(rows.tolist(), weights):
+            target = view[row]
+            target += np.multiply(src, w, out=scaled)
+
+
+def _capped_image(xi: IntMatrix, window: Box, hull: Box, cap: int) -> Box:
+    """``_image_box``, refused when it would hold more than cap cells."""
+    box = _image_box(xi, window, hull)
+    cells = math.prod(_box_shape(box))
+    if cells > cap:
+        raise GridTooLargeError(f"refinement would need {cells} cells (cap {cap})")
+    return box
+
+
+def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefSeq]:
+    """The iterates c_1, c_2, ... of one subdivision scheme from c, without end.
+
+    Each iterate is polyphase_subdivision([previous], xi, [mask]) bit for
+    bit: it takes ``_loops_mask``'s route through ``_spread`` into a
+    zeroed array over ``_image_box``.  The mask's taps are split once for
+    the whole chain, and each step's box is walked in Python integers; a
+    step whose box would hold more than cap cells raises
+    ``GridTooLargeError`` before anything is allocated.
+    """
+    if not c.dim == mask.dim == xi.dim:
+        raise DimMismatchError(f"dimensions {c.dim}, {mask.dim} and {xi.dim} differ")
+    s = xi.dim
+    hull = _seq_box(mask)
+    taps = _taps(mask.origin, mask.data)
+    count = len(taps[1])
+    origin, data, box = c.origin, c.data, _seq_box(c)
+    while True:
+        box = _capped_image(xi, box, hull, cap)
+        out = np.zeros(_box_shape(box))
+        _spread(out, box[0], xi, origin, data, mask,
+                taps if _loops_mask(data, s, count) else None)
+        origin, data = box[0], out
+        yield CoefSeq(origin, data)
 
 
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:

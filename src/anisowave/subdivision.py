@@ -12,6 +12,13 @@ similarity (diagonal banks included) in its Smith frame, as a tensor
 product of 1-D cascades written once into the grid (the conjugation
 identity).  All else iterates the polyphase kernel on the full grid,
 ``conjugation_check`` included, so the identity stays checked.
+
+Every iterate loop here, the 1-D cascades of the tensor route included,
+is one refinement chain of the kernel (``seqcore._chain``): it splits
+its mask's taps once, and its iterates are bit for bit those of a loop
+of ``subdivide`` calls.  ``subdivide`` stays the one-step API.  The cell
+cap ANISO_CELL_CAP is read once per call, by ``_cell_cap``, and no step
+may build a grid of more cells.
 """
 
 from __future__ import annotations
@@ -24,14 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .dictionary import AnisoFilterBank
-from .errors import BadDigitError, GridMismatchError, GridTooLargeError
+from .errors import BadDigitError, GridMismatchError
 from .lattice import IntMatrix, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
-    Box,
     Window,
+    _capped_image,
+    _chain,
     _check_dilation,
-    _image_box,
+    _seq_box,
     _shifted_views,
     delta,
     downsample,
@@ -48,7 +56,8 @@ class SubdivisionOp:
     """Mask plus dilation matrix; application is mask-weighted spreading.
 
     The mask is a plain sequence: ``subdivide`` hands it to the
-    polyphase kernel, which splits its nonzero taps on each call.
+    polyphase kernel, which splits its nonzero taps on each call, and a
+    refinement chain splits them once for all of its steps.
     """
 
     xi: IntMatrix
@@ -70,20 +79,22 @@ def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
     return polyphase_subdivision([c], op.xi, [op.mask])
 
 
-def _guarded_box(xi: IntMatrix, window: Box, hull: Box) -> Window:
-    """``_image_box`` as a ``Window``, refused when it would exceed ANISO_CELL_CAP cells."""
-    cap = int(os.environ.get("ANISO_CELL_CAP", DEFAULT_CELL_CAP))
-    box = Window(*_image_box(xi, window, hull))
-    if box.cells > cap:
-        raise GridTooLargeError(
-            f"refinement would need {box.cells} cells (cap {cap})")
-    return box
+def _cell_cap() -> int:
+    """The refinement cell cap: ANISO_CELL_CAP when set, which must be a
+    positive integer written in digits, else DEFAULT_CELL_CAP."""
+    raw = os.environ.get("ANISO_CELL_CAP")
+    if raw is None:
+        return DEFAULT_CELL_CAP
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"ANISO_CELL_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _guarded_subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
-    """``subdivide``, refused when its output box would exceed ANISO_CELL_CAP cells."""
-    _guarded_box(op.xi, c.window, op.mask.window)
-    return subdivide(op, c)
+def _refine(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, r: int, cap: int) -> CoefSeq:
+    """The r-th iterate of the scheme (xi, mask) from c (c itself for r = 0)."""
+    for c in itertools.islice(_chain(c, xi, mask, cap), r):
+        pass
+    return c
 
 
 @dataclass(frozen=True)
@@ -121,9 +132,7 @@ def cascade(op: SubdivisionOp, r: int) -> SampledFunction:
     """Samples of the refinable limit on xi^-r Z^s via r pulse refinements."""
     if r < 0:
         raise ValueError("level must be >= 0")
-    c = delta(op.xi.dim)
-    for _ in range(r):
-        c = _guarded_subdivide(op, c)
+    c = _refine(delta(op.xi.dim), op.xi, op.mask, r, _cell_cap())
     return _as_sampled(c, r, _matrix_power(op.xi, r))
 
 
@@ -141,10 +150,11 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     product of one 1-D cascade per axis (scale sigma_j) composed with
     theta1^-1.  The 1-D cascades are multiplied out once, straight into
     the zeroed window through a strided view along theta1, which skips
-    the sheared box's padding; a diagonal bank (theta1 = I) is the plain
-    outer product.  The scaling function then matches ``cascade`` of the
-    lowpass to rounding (~1e-15), not bit for bit.  Otherwise the r-1
-    steps run on the full grid through the polyphase kernel: for
+    the sheared box's padding; for a diagonal bank (theta1 = I) whose
+    tensor box is the window, the plain outer product is the window,
+    with no zero fill.  The scaling function then matches ``cascade`` of
+    the lowpass to rounding (~1e-15), not bit for bit.  Otherwise the
+    r-1 steps run on the full grid as one refinement chain: for
     non-similar banks, for banks read without trustworthy sets, and if
     the tensor support would not map into the window.
     ``conjugation_check`` never takes this route: it iterates the
@@ -154,18 +164,18 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     if r < 1:
         raise ValueError("wavelet sampling needs r >= 1")
     c = bank.filter_at(eta)
-    low = SubdivisionOp.from_bank(bank)
+    cap = _cell_cap()
     total = _matrix_power(bank.xi, r)
     if _in_frame(bank):
-        window = c.window
+        box = _seq_box(c)
+        hull = _seq_box(bank.lowpass)
         for _ in range(r - 1):
-            window = _guarded_box(bank.xi, window, low.mask.window)
-        values = _tensor_samples(bank, tuple(int(e) for e in eta), r, window)
+            box = _capped_image(bank.xi, box, hull, cap)
+        window = Window(*box)
+        values = _tensor_samples(bank, tuple(int(e) for e in eta), r, window, cap)
         if values is not None:
             return SampledFunction(r, total, window, values)
-    for _ in range(r - 1):
-        c = _guarded_subdivide(low, c)
-    return _as_sampled(c, r, total)
+    return _as_sampled(_refine(c, bank.xi, bank.lowpass, r - 1, cap), r, total)
 
 
 def _in_frame(bank: AnisoFilterBank) -> bool:
@@ -176,34 +186,33 @@ def _in_frame(bank: AnisoFilterBank) -> bool:
 
 
 def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
-                    window: Window) -> np.ndarray | None:
+                    window: Window, cap: int) -> np.ndarray | None:
     """The level-r iterate of filter eta over window, built in the Smith frame.
 
     Axis j runs the 1-D cascade of filter eta_j of bank.sets[j] (trimmed)
-    with r-1 lowpass steps of dilation sigma_j.  Their outer product t
-    lives on a frame box B, and out(theta1 b) = t(b).  Returns None
-    unless theta1 maps every corner of B into the window: the strided
-    view cannot detect a point that wraps a row.
+    with r-1 lowpass steps of dilation sigma_j, one refinement chain per
+    axis.  Their outer product t lives on a frame box B, and
+    out(theta1 b) = t(b); when theta1 = I and B is the window, t is out.
+    Returns None unless theta1 maps every corner of B into the window:
+    the strided view cannot detect a point that wraps a row.
     """
-    factors = []
-    for uset, e in zip(bank.sets, eta):
-        u, low = uset.filters[e].trimmed(), uset.filters[0].trimmed()
-        scale = IntMatrix.diagonal([uset.scale])
-        for _ in range(r - 1):
-            u = polyphase_subdivision([u], scale, [low])
-        factors.append(u)
+    factors = [_refine(uset.filters[e].trimmed(), IntMatrix.diagonal([uset.scale]),
+                       uset.filters[0].trimmed(), r - 1, cap)
+               for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
     shape = tuple(u.shape[0] for u in factors)
     theta1 = bank.fact.theta1
     corners = itertools.product(*[(l, l + n - 1) for l, n in zip(lo, shape)])
     if not all(window.contains(theta1.apply(p)) for p in corners):
         return None
-    out = np.zeros(window.shape)
-    view, rows = _shifted_views(out, window.lo, theta1, lo, shape,
-                                np.zeros((1, bank.dim), dtype=np.int64))
     head = np.ones(())
     for u in factors[:-1]:
         head = np.multiply.outer(head, u.data)
+    if (lo, shape) == (window.lo, window.shape) and theta1 == IntMatrix.identity(bank.dim):
+        return np.multiply.outer(head, factors[-1].data)
+    out = np.zeros(window.shape)
+    view, rows = _shifted_views(out, window.lo, theta1, lo, shape,
+                                np.zeros((1, bank.dim), dtype=np.int64))
     np.multiply.outer(head, factors[-1].data, out=view[rows[0]])
     return out
 
@@ -218,9 +227,9 @@ def convergence_diagnostic(op: SubdivisionOp, r_max: int) -> list[float]:
     if r_max < 2:
         raise ValueError("need r_max >= 2")
     gaps = []
-    prev = _guarded_subdivide(op, delta(op.xi.dim))
-    for _ in range(1, r_max):
-        nxt = _guarded_subdivide(op, prev)
+    chain = _chain(delta(op.xi.dim), op.xi, op.mask, _cell_cap())
+    prev = next(chain)
+    for nxt in itertools.islice(chain, r_max - 1):
         gaps.append(max_abs_diff(prev, downsample(nxt, op.xi)))
         prev = nxt
     return gaps
@@ -238,20 +247,15 @@ def conjugation_check(bank: AnisoFilterBank, r: int) -> float:
     """
     if r < 0:
         raise ValueError("level must be >= 0")
-    lhs = delta(bank.dim)
-    op = SubdivisionOp.from_bank(bank)
-    for _ in range(r):
-        lhs = _guarded_subdivide(op, lhs)
+    cap = _cell_cap()
+    lhs = _refine(delta(bank.dim), bank.xi, bank.lowpass, r, cap)
 
     theta1 = bank.fact.theta1
     theta1_inv = inverse_unimodular(theta1)
     h = reindex(bank.lowpass, theta1)
     lam = bank.fact.theta2 @ theta1
     sigma_lam = IntMatrix.diagonal(bank.fact.sigma) @ lam
-    rhs = delta(bank.dim)
-    conj_op = SubdivisionOp(sigma_lam, h)
-    for _ in range(r):
-        rhs = _guarded_subdivide(conj_op, rhs)
+    rhs = _refine(delta(bank.dim), sigma_lam, h, r, cap)
     return max_abs_diff(lhs, reindex(rhs, theta1_inv))
 
 
@@ -265,17 +269,16 @@ def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],
     """
     if r_tail < 0:
         raise ValueError("tail level must be >= 0")
+    cap = _cell_cap()
     c = delta(banks[0].dim)
     total = IntMatrix.identity(banks[0].dim)
     for d in mu:
         if not 0 <= d < len(banks):
             raise BadDigitError(f"digit {d} outside range(0, {len(banks)})")
         bank = banks[d]
-        c = _guarded_subdivide(SubdivisionOp.from_bank(bank), c)
+        c = _refine(c, bank.xi, bank.lowpass, 1, cap)
         total = bank.xi @ total
-    tail = SubdivisionOp.from_bank(banks[0])
-    for _ in range(r_tail):
-        c = _guarded_subdivide(tail, c)
+    c = _refine(c, banks[0].xi, banks[0].lowpass, r_tail, cap)
     total = _matrix_power(banks[0].xi, r_tail) @ total
     return _as_sampled(c, r_tail + len(mu), total)
 

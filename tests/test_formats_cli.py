@@ -402,6 +402,17 @@ class TestCliCascade:
         assert main(["cascade", bank_file, "-r", "6",
                      "-o", str(tmp_path / "big")]) == 3
 
+    @pytest.mark.parametrize("cap", ["1e8", "-5", "abc", "0", ""])
+    def test_bad_cell_cap_exit_1(self, bank_file, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("ANISO_CELL_CAP", cap)
+        assert main(["cascade", bank_file, "-r", "3", "-o", str(tmp_path / "g")]) == 1
+        assert "ANISO_CELL_CAP" in capsys.readouterr().err
+
+    def test_cell_cap_written_out(self, bank_file, tmp_path, monkeypatch):
+        # the default as the README writes it
+        monkeypatch.setenv("ANISO_CELL_CAP", "100000000")
+        assert main(["cascade", bank_file, "-r", "3", "-o", str(tmp_path / "g")]) == 0
+
 
 @pytest.fixture()
 def config_file(tmp_path):

@@ -41,6 +41,8 @@ def swap(s, i, j):
 
 @st.composite
 def unimodular(draw, s):
+    if s == 1:
+        return IntMatrix.from_rows([[draw(st.sampled_from([1, -1]))]])
     m = IntMatrix.identity(s)
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.permutations(range(s)))[:2]

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,16 +9,19 @@ from hypothesis import strategies as st
 import anisowave as aw
 from anisowave import subdivision
 from anisowave.dictionary import univariate_sets_from_names
-from anisowave.errors import GridMismatchError, GridTooLargeError
+from anisowave.errors import GridMismatchError, GridTooLargeError, InconclusiveError
 from anisowave.lattice import IntMatrix, inverse_unimodular
 from anisowave.seqcore import (
     CoefSeq,
     Window,
+    _chain,
     _image_box,
+    _loops_mask,
     max_abs_diff,
     polyphase_subdivision,
 )
 from anisowave.subdivision import SubdivisionOp, _matrix_power
+from test_random_dilations import unimodular
 
 
 def seq1(values, origin=0):
@@ -227,7 +233,8 @@ def renders_in_frame(bank, eta, r):
     """Whether wavelet_samples takes the tensor route for this render."""
     window = kernel_samples(bank, eta, r).window
     return (subdivision._in_frame(bank)
-            and subdivision._tensor_samples(bank, tuple(eta), r, window) is not None)
+            and subdivision._tensor_samples(bank, tuple(eta), r, window,
+                                            subdivision.DEFAULT_CELL_CAP) is not None)
 
 
 @st.composite
@@ -320,3 +327,107 @@ class TestTensorRoute:
         for bank in (bank0, bank1):
             with pytest.raises(AssertionError):
                 aw.wavelet_samples(bank, (0, 0), 3)
+
+
+# -- refinement chains -----------------------------------------------------------
+
+#: cells the last compared iterate of a drawn chain may hold
+CHAIN_CELLS = 200_000
+
+
+def subdivision_loop(c, xi, mask, cap):
+    """The oracle: iterates of plain polyphase_subdivision steps, each step
+    refused, before it runs, when its box would exceed cap cells."""
+    while True:
+        cells = Window(*_image_box(xi, c.window, mask.window)).cells
+        if cells > cap:
+            raise GridTooLargeError(f"refinement would need {cells} cells (cap {cap})")
+        c = polyphase_subdivision([c], xi, [mask])
+        yield c
+
+
+@st.composite
+def chains(draw):
+    """(start, xi, mask, k): an expansive xi = U diag(sigma) V in s = 1..3, a
+    mask of 1-12 taps, and the pulse or a small dense array to start from."""
+    s = draw(st.integers(1, 3))
+    sigma = [draw(st.sampled_from([2, 3])) for _ in range(s)]
+    xi = draw(unimodular(s)) @ IntMatrix.diagonal(sigma) @ draw(unimodular(s))
+    try:
+        assume(aw.is_expansive(xi))
+    except InconclusiveError:
+        assume(False)
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+    # boxes wide enough for three scaled copies of the mask to overlap
+    shape = tuple(draw(st.integers(1, {1: 12, 2: 5, 3: 4}[s])) for _ in range(s))
+    taps = draw(st.integers(1, min(12, math.prod(shape))))
+    data = np.zeros(shape)
+    data.flat[rng.permutation(data.size)[:taps]] = rng.randn(taps)
+    mask = CoefSeq(tuple(draw(st.integers(-3, 3)) for _ in range(s)), data)
+    if draw(st.booleans()):
+        start = aw.delta(s)
+    else:
+        dense = tuple(draw(st.integers(1, 3)) for _ in range(s))
+        start = CoefSeq(tuple(draw(st.integers(-2, 2)) for _ in range(s)),
+                        rng.uniform(0.5, 2.0, dense) * rng.choice([-1, 1], dense))
+    k = draw(st.integers(1, 5))
+    window = start.window
+    for _ in range(k):
+        window = Window(*_image_box(xi, window, mask.window))
+    assume(window.cells <= CHAIN_CELLS)
+    return start, xi, mask, k
+
+
+def assert_chain_matches_loop(start, xi, mask, k):
+    got = itertools.islice(_chain(start, xi, mask, CHAIN_CELLS), k)
+    expect = itertools.islice(subdivision_loop(start, xi, mask, CHAIN_CELLS), k)
+    for a, b in zip(got, expect, strict=True):
+        assert a.origin == b.origin and a.shape == b.shape
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+def refused_at(steps):
+    """(iterates made, message) of steps that end in GridTooLargeError."""
+    made = 0
+    with pytest.raises(GridTooLargeError) as err:
+        for _ in steps:
+            made += 1
+    return made, str(err.value)
+
+
+CHAIN_CASES = settings(max_examples=100, deadline=None)
+
+
+class TestChain:
+    @CHAIN_CASES
+    @given(chains())
+    def test_iterates_equal_subdivision_loop(self, case):
+        assert_chain_matches_loop(*case)
+
+    @CHAIN_CASES
+    @given(chains(), st.data())
+    def test_cap_refuses_the_same_step(self, case, data):
+        start, xi, mask, k = case
+        window, cells = start.window, []
+        for _ in range(k):
+            window = Window(*_image_box(xi, window, mask.window))
+            cells.append(window.cells)
+        cap = data.draw(st.sampled_from(cells)) - 1  # just below a drawn step's box
+        assume(cap >= 1)
+        refused = refused_at(_chain(start, xi, mask, cap))
+        assert refused == refused_at(subdivision_loop(start, xi, mask, cap))
+        assert refused[0] == min(n for n, c in enumerate(cells) if c > cap)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_short_start_loops_over_data(self, s):
+        # 3^s cells against 12 taps: the first step loops over the data,
+        # and three scaled masks overlap, so the order of the loop shows
+        # in the last bits
+        rng = np.random.RandomState(3)
+        mask = np.zeros((12,) if s == 1 else (5, 5))
+        mask.flat[rng.permutation(mask.size)[:12]] = rng.randn(12)
+        mask = CoefSeq((-2,) * s, mask)
+        start = CoefSeq((0,) * s, rng.randn(*(3,) * s))
+        xi = IntMatrix.diagonal([2] * s)
+        assert not _loops_mask(start.data, s, 12)
+        assert_chain_matches_loop(start, xi, mask, 3)
