@@ -152,7 +152,7 @@ def cmd_bank_verify(args) -> int:
     report = reproduction_check(bank, degree, Window((0,) * bank.dim,
                                                      (n - 1,) * bank.dim))
     print(f"reproduction (degree {degree}): max detail {report.max_detail:.2e}, "
-          f"max lowpass fit residual {report.max_fit_residual:.2e}")
+          f"max sum-rule gap {report.max_sum_rule_gap:.2e}")
 
     ok = worst <= args.tol_qmf and report.max_detail <= args.tol_moments
     if not ok:
@@ -366,7 +366,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tol-qmf", type=float, default=1e-12)
     p.add_argument("--tol-moments", type=float, default=1e-10)
     p.add_argument("--window", type=int, default=24,
-                   help="side length of the reproduction test window")
+                   help="side length of the window whose boundary-free analysis "
+                        "lags the polynomial details are evaluated at")
     p.set_defaults(func=cmd_bank_verify)
 
     p = sub.add_parser("cascade", help="render limit functions on refined grids")

@@ -33,16 +33,13 @@ from .seqcore import (
     _box_shape,
     _gather,
     _image_box,
+    _lag_box,
     _preimage,
     _seq_box,
-    _shifted_views,
     _stacked,
-    _subdivision,
     _taps,
     _trimmed,
-    _values_at,
     cross_qmf_residual,
-    sample_polynomial,
     tensor,
 )
 
@@ -139,19 +136,16 @@ def moment_order(f: CoefSeq, tol: float = MOMENT_TOL) -> int:
 
 
 def moment_order_nd(f: CoefSeq, tol: float = MOMENT_TOL, cap: int = 16) -> int:
-    """Multivariate analogue: moments over all exponents of total degree < n."""
-    grids = np.meshgrid(*[np.arange(o, o + n, dtype=np.float64)
-                          for o, n in zip(f.origin, f.shape)], indexing="ij")
+    """Multivariate analogue: moments over all exponents of total degree < n.
+
+    The moments sum over the nonzero taps of f only.
+    """
+    positions, weights = _taps(f.origin, f.data)
     for k in range(cap):
-        for expo in itertools.product(range(k + 1), repeat=f.dim):
-            if sum(expo) != k:
-                continue
-            term = f.data
-            for g, e in zip(grids, expo):
-                if e:
-                    term = term * g ** e
-            if abs(float(term.sum())) > tol:
-                return k
+        expos = _exponents(f.dim, k)
+        moments = weights @ _monomials(positions, expos[expos.sum(axis=1) == k])
+        if np.any(np.abs(moments) > tol):
+            return k
     return cap
 
 
@@ -208,23 +202,60 @@ class AnisoFilterBank:
         The residual of (eta, eta2) is the sup distance of the lags of
         filter eta correlated with filter eta2 from |det xi| delta at
         eta = eta2 and from zero otherwise (``cross_qmf_residual``).
-        One kernel call correlates every filter, stacked over the
-        filters' hull as channels, with every filter: the polyphase
-        matrix of the bank times its adjoint.  A NaN in a filter makes
-        its residuals NaN.
+        The lags are taken in the Smith frame xi = theta1 D theta2: with
+        F = f(theta1 .), sum_beta f(beta) g(beta + xi gamma) is
+        sum_beta F(beta) G(beta + D theta2 gamma), and theta2 gamma runs
+        over all of Z^s, so the pull-backs under D = diag sigma have the
+        same lags.  The pull-back permutes the stored nonzero taps
+        (theta1^-1 beta, in integers) into one stack over the frame's
+        hull; one kernel call correlates that stack, the filters as
+        channels, with every filter: the polyphase matrix of the bank
+        times its adjoint.  Taps that fill a sheared box (noise, hand
+        edits) can pull back into a far larger box; the stored taps are
+        correlated under xi instead when the kernel pads them less.
+        Every stored number is checked; a NaN makes its residuals NaN.
         """
         indices = self.indices()
         filters = [self.filters[eta] for eta in indices]
         hull = _box_hull(map(_seq_box, filters))
-        stack = _stacked([(f.origin, f.data) for f in filters], hull)
-        lo, lagged = _analysis(hull[0], stack, self.xi, filters)
+        taps = [np.nonzero(f.data) for f in filters]
+        rows = np.repeat(np.arange(len(filters)), [len(nz[0]) for nz in taps])
+        positions = np.concatenate([np.transpose(nz) + f.origin for nz, f in zip(taps, filters)])
+        frame, dilation = _pull_back(self.fact, positions), IntMatrix.diagonal(self.fact.sigma)
+        box = _points_box(frame)
+        # tensor-built filters pull back into a box no larger than their own
+        if (math.prod(_box_shape(box)) > math.prod(_box_shape(hull))
+                and _source_cells(self.xi, hull) < _source_cells(dilation, box)):
+            frame, dilation, box = positions, self.xi, hull
+        lo = box[0]
+        stack = np.zeros((len(filters), *_box_shape(box)))
+        stack[(rows, *(frame - lo).T)] = np.concatenate([f.data[nz] for nz, f in zip(taps, filters)])
+        lag_lo, lagged = _analysis(lo, stack, dilation, [CoefSeq(lo, row) for row in stack])
         # lagged[k, j] correlates filter j with filter k; the lag box of a
         # stack over the hull always holds the zero lag
         diagonal = np.arange(len(filters))
-        lagged[(diagonal, diagonal, *(-o for o in lo))] -= self.det
+        lagged[(diagonal, diagonal, *(-o for o in lag_lo))] -= self.det
         gaps = np.abs(lagged).max(axis=tuple(range(2, self.dim + 2)))
         return {(eta, eta2): float(gaps[k, j])
                 for j, eta in enumerate(indices) for k, eta2 in enumerate(indices)}
+
+
+def _pull_back(fact: SmithFactorization, positions: np.ndarray) -> np.ndarray:
+    """The (n, s) lattice points theta1^-1 beta of the rows beta of positions."""
+    return positions @ np.array(inverse_unimodular(fact.theta1).entries, dtype=np.int64).T
+
+
+def _points_box(points: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (lo, hi) box of (n, s) lattice points; the origin's cell for none."""
+    if not len(points):
+        return ((0,) * points.shape[1],) * 2
+    return tuple(points.min(axis=0).tolist()), tuple(points.max(axis=0).tolist())
+
+
+def _source_cells(xi: IntMatrix, box: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    """Cells of the box that ``_analysis`` reads to correlate a stack over
+    the box with itself under xi."""
+    return math.prod(_box_shape(_image_box(xi, _lag_box(xi, box, box), box)))
 
 
 def build_bank(xi: IntMatrix, target_sigma: Sequence[int],
@@ -278,7 +309,7 @@ def tensor_filters(fact: SmithFactorization,
 class ReproductionRow:
     exponent: tuple[int, ...]
     detail_max: float
-    fit_residual: float
+    sum_rule_gap: float
 
 
 @dataclass(frozen=True)
@@ -295,9 +326,9 @@ class ReproductionReport:
         return float(np.max([r.detail_max for r in self.rows]))
 
     @property
-    def max_fit_residual(self) -> float:
-        """Largest fit residual; NaN when any row holds NaN."""
-        return float(np.max([r.fit_residual for r in self.rows]))
+    def max_sum_rule_gap(self) -> float:
+        """Largest sum-rule gap; NaN when any row holds NaN."""
+        return float(np.max([r.sum_rule_gap for r in self.rows]))
 
 
 def analysis_core(window: Window, xi: IntMatrix, support: Window) -> list[tuple[int, ...]]:
@@ -335,99 +366,66 @@ def _has_core_lag(window: Window, xi: IntMatrix, support: Window) -> bool:
     return len(_core_lags(window, xi, support)) > 0
 
 
-def _subdivision_core(window: Window, xi: IntMatrix, mask: CoefSeq) -> np.ndarray:
-    """Output cells of one subdivision step fed only by in-window data.
-
-    A cell qualifies when some mask tap reaches it from a point of the
-    window and none reaches it from a point outside.  A tap
-    beta = xi nu + rho (nu = floor(xi^-1 beta)) reaches the cells of
-    coset rho only, the cell xi gamma + rho from the point gamma - nu.
-    So in coset rho, with N the nu of its taps, the qualifying cells are
-    xi gamma + rho for gamma in the box [window.lo + max N,
-    window.hi + min N] (componentwise), and the cosets set their boxes
-    through ``_shifted_views`` views of a boolean grid over the step's
-    image box.  Returns the cells as (n, s) integer rows in
-    lexicographic order.
-    """
-    positions, _ = _taps(mask.origin, mask.data)
-    if not len(positions):
-        raise WindowTooSmallError("empty subdivision output")
-    adj, den = _integer_inverse(xi)
-    mat = np.array(xi.entries, dtype=np.int64)
-    nu = positions @ np.array(adj, dtype=np.int64).T // den
-    rho = positions - nu @ mat.T
-    # group the taps by coset: sorted by rho, each coset is one run
-    order = np.lexsort(rho.T[::-1])
-    rho, nu = rho[order], nu[order]
-    starts = np.flatnonzero(np.r_[True, np.any(rho[1:] != rho[:-1], axis=1)])
-    lo = np.add(window.lo, np.maximum.reduceat(nu, starts))
-    shapes = np.add(window.hi, np.minimum.reduceat(nu, starts)) - lo + 1
-    image_lo, image_hi = _image_box(xi, window,
-                                    (tuple(positions.min(axis=0)), tuple(positions.max(axis=0))))
-    clean = np.zeros(_box_shape((image_lo, image_hi)), dtype=bool)
-    # coset rho's box is the points xi (lo + i) + rho; cosets whose boxes
-    # share a shape (a bank's all do) share one view
-    shifts = lo @ mat.T + rho[starts]
-    for shape in set(map(tuple, shapes.tolist())):
-        if min(shape) > 0:
-            view, rows = _shifted_views(clean, image_lo, xi, (0,) * xi.dim, shape,
-                                        shifts[(shapes == shape).all(axis=1)])
-            view[rows] = True
-    cells = np.argwhere(clean)
-    if not len(cells):
-        raise WindowTooSmallError("no boundary-free subdivision output cells")
-    return cells + np.array(image_lo)
+def _exponents(dim: int, degree: int) -> np.ndarray:
+    """The exponents of total degree <= degree as (E, dim) rows, in
+    lexicographic order."""
+    return np.array([expo for expo in itertools.product(range(degree + 1), repeat=dim)
+                     if sum(expo) <= degree], dtype=np.int64).reshape(-1, dim)
 
 
-def _fit_polynomial(points: np.ndarray, values: np.ndarray, degree: int) -> float:
-    """Max residual of a least-squares polynomial fit of the given degree."""
-    dim = points.shape[1]
-    scale = max(1.0, float(np.abs(points).max()))
-    cols = []
-    for expo in itertools.product(range(degree + 1), repeat=dim):
-        if sum(expo) > degree:
-            continue
-        col = np.ones(len(points))
-        for d, e in enumerate(expo):
-            if e:
-                col = col * (points[:, d] / scale) ** e
-        cols.append(col)
-    vand = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(vand, values, rcond=None)
-    return float(np.abs(vand @ coef - values).max())
+def _monomials(points: np.ndarray, expos: np.ndarray) -> np.ndarray:
+    """(n, E) values x^e of each exponent row e at each point row x."""
+    return np.prod(points[:, None, :].astype(np.float64) ** expos, axis=2)
 
 
 def reproduction_check(bank: AnisoFilterBank, degree: int,
                        window: Window) -> ReproductionReport:
     """Verify that the bank annihilates / reproduces polynomials.
 
-    For every monomial of total degree <= degree, the analysis details
-    must vanish on the boundary-unaffected core of the window, and one
-    lowpass subdivision step applied to the samples must stay a
-    polynomial of the same degree (reported as a fit residual).  The
-    monomials' samples are stacked as channels: one analysis call with
-    every filter (as ``mmra.analyze`` makes it) and one lowpass
-    subdivision call cover them all, and index arrays read the core
-    values.  A NaN detail or fit makes the report's maxima NaN.
+    For every monomial x^alpha of total degree <= degree, the analysis
+    details must vanish on the boundary-unaffected core of the window,
+    and the lowpass must satisfy the sum rule for alpha.  Both come from
+    the stored taps, not from sampled grids.  With the discrete moments
+    m_delta(g) = sum_beta g(beta) beta^delta of a highpass filter g over
+    its nonzero taps, the detail of x^alpha at a core lag gamma is
+
+        (1 / |det xi|) sum_{delta <= alpha} C(alpha, delta) (xi gamma)^(alpha - delta) m_delta(g),
+
+    what ``mmra.analyze`` of the sampled monomial gives there, up to rounding.
+    The sum-rule gap is the spread over the |det xi| cosets rho of
+    sum_nu a(xi nu + rho) (xi nu + rho)^alpha for the lowpass a, a coset
+    without taps summing to 0; it vanishes when one lowpass subdivision
+    step maps every polynomial of degree |alpha| to one.  A NaN tap
+    makes the report's maxima NaN.
     """
-    core = _core_lags(window, bank.xi, bank.support_hull())
+    xi = bank.xi
+    core = _core_lags(window, xi, bank.support_hull())
     if not len(core):
         raise WindowTooSmallError(
             f"window {window.lo}..{window.hi} has no boundary-free core")
-    out_core = _subdivision_core(window, bank.xi, bank.lowpass)
+    expos = _exponents(bank.dim, degree)
+    highpass = [bank.filters[eta] for eta in bank.highpass_indices()]
+    moments = np.array([w @ _monomials(p, expos) for p, w in
+                        (_taps(g.origin, g.data) for g in highpass)])
+    powers = _monomials(core @ np.array(xi.entries, dtype=np.int64).T, expos)
 
-    expos = [expo for expo in itertools.product(range(degree + 1), repeat=bank.dim)
-             if sum(expo) <= degree]
-    samples = np.stack([sample_polynomial([(1.0, expo)], window).data
-                        for expo in expos])
-    lo, parts = _analysis(window.lo, samples, bank.xi, list(bank.filters.values()))
-    highpass = [k for k, eta in enumerate(bank.filters) if any(eta)]
-    # (filter, monomial, core lag), with analyze's scaling
-    details = np.abs(_values_at(lo, parts[highpass], core) * (1.0 / bank.det))
-    lo, refined = _subdivision([(window.lo, samples)], bank.xi, [bank.lowpass])
-    fitted = _values_at(lo, refined, out_core)
-    points = out_core.astype(np.float64)
-    rows = tuple(ReproductionRow(expo, float(details[:, k].max()),
-                                 _fit_polynomial(points, fitted[k], sum(expo)))
-                 for k, expo in enumerate(expos))
-    return ReproductionReport(degree, window, rows)
+    # beta and beta' share a coset of xi Z^s = theta1 D Z^s exactly when
+    # theta1^-1 beta and theta1^-1 beta' agree modulo sigma
+    positions, taps = _taps(bank.lowpass.origin, bank.lowpass.data)
+    sigma = bank.fact.sigma
+    coset = np.ravel_multi_index(tuple((_pull_back(bank.fact, positions) % sigma).T), sigma)
+    sums = np.zeros((bank.det, len(expos)))
+    np.add.at(sums, coset, taps[:, None] * _monomials(positions, expos))
+
+    index = {expo: k for k, expo in enumerate(map(tuple, expos.tolist()))}
+    rows = []
+    for alpha, k in index.items():
+        # the column of (xi gamma)^rest holds C(alpha, delta) m_delta, rest = alpha - delta
+        coef = np.zeros((len(highpass), len(expos)))
+        for delta in itertools.product(*(range(a + 1) for a in alpha)):
+            rest = tuple(a - d for a, d in zip(alpha, delta))
+            coef[:, index[rest]] = math.prod(map(math.comb, alpha, delta)) * moments[:, index[delta]]
+        details = np.abs((coef @ powers.T) * (1.0 / bank.det))
+        rows.append(ReproductionRow(alpha, float(np.max(details)),
+                                    float(np.max(sums[:, k]) - np.min(sums[:, k]))))
+    return ReproductionReport(degree, window, tuple(rows))

@@ -6,8 +6,8 @@ a call on that channel alone over the same box, so the properties below
 compare stacked calls with per-input calls bit for bit, and with the
 direct oracles of ``test_polyphase`` within their tolerances.  The bank
 checks that stack their operands (``residual_matrix`` over the filters,
-``reproduction_check`` over the monomials) are compared with the
-per-pair and per-monomial loops they replace.
+the grid oracle of polynomial reproduction over the monomials) are
+compared with the per-pair and per-monomial loops they replace.
 """
 
 import dataclasses
@@ -18,12 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisowave as aw
-from anisowave.dictionary import (
-    _core_lags,
-    _fit_polynomial,
-    _subdivision_core,
-    reproduction_check,
-)
+from anisowave.dictionary import _core_lags
 from anisowave.seqcore import (
     CoefSeq,
     Window,
@@ -37,6 +32,7 @@ from anisowave.seqcore import (
     sample_polynomial,
 )
 from anisowave.subdivision import SubdivisionOp, subdivide
+from grid_oracle import fit_residual, grid_rows, subdivision_core
 from test_polyphase import expansive, oracle_analysis, oracle_subdivision, scale_of, sequences
 from test_random_dilations import banks
 
@@ -222,9 +218,9 @@ def test_residual_matrix_equals_pair_loop(bank, seed, noisy):
 
 
 def reference_rows(bank, degree, window):
-    """``reproduction_check``'s rows by one analysis and one subdivision per monomial."""
+    """The grid oracle's rows by one analysis and one subdivision per monomial."""
     core = _core_lags(window, bank.xi, bank.support_hull())
-    out_core = _subdivision_core(window, bank.xi, bank.lowpass)
+    out_core = subdivision_core(window, bank.xi, bank.lowpass)
     rows = []
     for expo in itertools.product(range(degree + 1), repeat=bank.dim):
         if sum(expo) > degree:
@@ -234,8 +230,8 @@ def reference_rows(bank, degree, window):
         detail_max = max(float(np.abs(parts[eta].values_at(core)).max())
                          for eta in bank.highpass_indices())
         refined = subdivide(SubdivisionOp.from_bank(bank), samples)
-        fit = _fit_polynomial(out_core.astype(np.float64), refined.values_at(out_core),
-                              sum(expo))
+        fit = fit_residual(out_core.astype(np.float64), refined.values_at(out_core),
+                           sum(expo))
         rows.append((expo, detail_max, fit))
     return rows
 
@@ -245,6 +241,4 @@ def reference_rows(bank, degree, window):
 def test_reproduction_rows_equal_per_monomial_reference(bank, degree, margin):
     side = max(bank.support_hull().shape) + margin
     window = Window((0,) * bank.dim, (side - 1,) * bank.dim)
-    report = reproduction_check(bank, degree, window)
-    got = [(r.exponent, r.detail_max, r.fit_residual) for r in report.rows]
-    assert got == reference_rows(bank, degree, window)
+    assert grid_rows(bank, degree, window) == reference_rows(bank, degree, window)

@@ -19,6 +19,7 @@ from anisowave.errors import (
 )
 from anisowave.lattice import IntMatrix
 from anisowave.seqcore import Window, max_abs_diff
+from grid_oracle import grid_rows
 
 GAMMA1 = IntMatrix.from_rows([[1, -1], [0, 1]])
 
@@ -127,7 +128,8 @@ class TestReproduction:
         for bank in (bank0, bank1):
             report = reproduction_check(bank, 1, window)
             assert report.max_detail <= 1e-10
-            assert report.max_fit_residual <= 1e-9
+            assert report.max_sum_rule_gap <= 1e-9
+            assert max(fit for _, _, fit in grid_rows(bank, 1, window)) <= 1e-9
 
     def test_haar_reproduces_constants(self, haar_bank):
         report = reproduction_check(haar_bank, 0, Window((0, 0), (15, 15)))
@@ -168,9 +170,14 @@ class TestNaNFilters:
         assert np.isnan(report.max_detail)
         assert not report.max_detail <= 1e-10
 
+    def test_lowpass_nan_makes_the_sum_rule_gap_nan(self, bank1):
+        report = reproduction_check(self.poisoned(bank1, (0, 0)), 1,
+                                    Window((0, 0), (26, 26)))
+        assert np.isnan(report.max_sum_rule_gap)
+
     def test_report_maxima_propagate_a_late_nan(self):
         rows = tuple(ReproductionRow(e, d, f) for e, d, f in
                      [((0, 0), 1e-14, 1e-13), ((0, 1), np.nan, 1e-13),
                       ((1, 0), 1e-14, np.nan)])
         report = ReproductionReport(1, Window((0, 0), (5, 5)), rows)
-        assert np.isnan(report.max_detail) and np.isnan(report.max_fit_residual)
+        assert np.isnan(report.max_detail) and np.isnan(report.max_sum_rule_gap)

@@ -373,6 +373,45 @@ class TestCliBank:
                      "-o", str(tmp_path / "z.json")]) == 1
 
 
+#: (xi, sigma, families, window) of a theta1 = I bank, the similarity bank
+#: Xi_1 and a composed-branch bank (theta2 != theta1^-1)
+TAMPER_BANKS = {
+    "identity": ("[[2,2],[0,2]]", "2,2", "db2,db2", "24"),
+    "similarity": (XI1_JSON, "3,2", "cl3,db2", "24"),
+    "composed": ("[[2,-2,-2],[-3,5,2],[0,2,2]]", "2,3,2", "db2,cl3,db2", "35"),
+}
+
+
+class TestCliBankTaps:
+    """``bank verify`` checks the stored taps however it pulls them back."""
+
+    @pytest.mark.parametrize("kind", sorted(TAMPER_BANKS))
+    @pytest.mark.parametrize("which", ["lowpass", "highpass"])
+    def test_one_tap_edit_exit_2(self, tmp_path, capsys, kind, which):
+        xi, sigma, families, window = TAMPER_BANKS[kind]
+        path = str(tmp_path / "bank.json")
+        assert main(["bank", "build", "--xi", xi, "--sigma", sigma,
+                     "--families", families, "-o", path]) == 0
+        assert main(["bank", "verify", path, "--window", window]) == 0
+        assert "max sum-rule gap" in capsys.readouterr().out
+        data = json.load(open(path))
+        keys = sorted(data["filters"])
+        values = data["filters"][keys[0] if which == "lowpass" else keys[-1]]["data"]
+        values[int(np.argmax(np.abs(values)))] += 1e-6
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        assert main(["bank", "verify", bad, "--window", window]) == 2
+        assert "OK" not in capsys.readouterr().out
+
+    def test_composed_branch_example_verifies(self, tmp_path, capsys):
+        path = str(tmp_path / "composed.json")
+        assert main(["bank", "build", "--xi", "[[3,-3,0],[-2,4,-2],[-2,4,0]]",
+                     "--sigma", "3,2,2", "--families", "cl3,db2,db2", "-o", path]) == 0
+        assert main(["bank", "verify", path, "--window", "90"]) == 0
+        assert "OK" in capsys.readouterr().out
+
+
 class TestCliCascade:
     def test_renders_all(self, bank_file, tmp_path):
         out = str(tmp_path / "grids")

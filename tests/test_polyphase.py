@@ -29,11 +29,10 @@ from anisowave.dictionary import (
     FAMILIES,
     _core_lags,
     _has_core_lag,
-    _subdivision_core,
     analysis_core,
     tensor_filters,
 )
-from anisowave.errors import InconclusiveError, WindowTooSmallError
+from anisowave.errors import InconclusiveError
 from anisowave.lattice import IntMatrix, determinant, rational_inverse
 from anisowave.seqcore import (
     CoefSeq,
@@ -137,22 +136,6 @@ def oracle_analysis_core(window, xi, support):
     if any(l > h for l, h in zip(lo, hi)):
         return []
     return loop_preimage_points(xi, lo, hi)
-
-
-def oracle_subdivision_core(window, xi, mask):
-    supp = [m for m in mask.window.points() if mask.value(m) != 0.0]
-    fed = {tuple(x + y for x, y in zip(xi.apply(a), m))
-           for a in window.points() for m in supp}
-    if not fed:
-        raise WindowTooSmallError("empty subdivision output")
-    lo = [min(b[i] - mask.window.hi[i] for b in fed) for i in range(xi.dim)]
-    hi = [max(b[i] - mask.window.lo[i] for b in fed) for i in range(xi.dim)]
-    for a in loop_preimage_points(xi, lo, hi):
-        if not window.contains(a):
-            fed -= {tuple(x + y for x, y in zip(xi.apply(a), m)) for m in supp}
-    if not fed:
-        raise WindowTooSmallError("no boundary-free subdivision output cells")
-    return sorted(fed)
 
 
 def scale_of(c, f):
@@ -545,20 +528,6 @@ def test_analysis_core_matches_point_loop(case):
 
 
 @PROPERTY
-@given(cases())
-def test_subdivision_core_matches_point_loop(case):
-    xi, c, mask = case
-    try:
-        expect = oracle_subdivision_core(c.window, xi, mask)
-    except WindowTooSmallError:
-        with pytest.raises(WindowTooSmallError):
-            _subdivision_core(c.window, xi, mask)
-        return
-    got = _subdivision_core(c.window, xi, mask)
-    assert [tuple(row) for row in got.tolist()] == expect
-
-
-@PROPERTY
 @given(cases(), st.data())
 def test_core_box_test_matches_enumeration(case, data):
     xi, c, f = case
@@ -568,10 +537,6 @@ def test_core_box_test_matches_enumeration(case, data):
 
 
 # -- bank pieces -----------------------------------------------------------------
-
-#: a sheared 3-D dilation whose preimage boxes are far larger than its windows
-SHEARED3 = IntMatrix.from_rows([[2, -2, -2], [-3, 5, 2], [0, 2, 2]])
-
 
 @st.composite
 def smith_sets(draw):
@@ -620,26 +585,3 @@ def test_tensor_filters_match_reindex_per_filter(case):
         assert f.origin == expect.origin
         assert f.data.shape == expect.data.shape
         assert f.data.tobytes() == expect.data.tobytes()
-
-
-def test_sheared_subdivision_core_matches_point_loop():
-    mask = CoefSeq((0, 0, 0), np.ones((2, 2, 2)))
-    window = Window((0, 0, 0), (5, 5, 5))
-    got = _subdivision_core(window, SHEARED3, mask)
-    assert [tuple(row) for row in got.tolist()] == oracle_subdivision_core(
-        window, SHEARED3, mask)
-
-
-def test_sheared_subdivision_core_memory():
-    # the step's image box holds 0.35 M cells, but the image of its
-    # preimage box (every point that can reach it) holds 1.1e8
-    mask = CoefSeq((0, 0, 0), np.ones((2, 2, 2)))
-    window = Window((0, 0, 0), (11, 11, 11))
-    tracemalloc.start()
-    try:
-        cells = _subdivision_core(window, SHEARED3, mask)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(cells)
-    assert peak < 64 * 2 ** 20
