@@ -154,12 +154,19 @@ def cmd_bank_verify(args) -> int:
     print(f"reproduction (degree {degree}): max detail {report.max_detail:.2e}, "
           f"max sum-rule gap {report.max_sum_rule_gap:.2e}")
 
-    ok = worst <= args.tol_qmf and report.max_detail <= args.tol_moments
-    if not ok:
-        print(f"FAIL: worst residual {worst:.3e} at pair {worst_pair}",
-              file=sys.stderr)
+    # one FAIL line per failed check; a NaN compares False, so it fails
+    qmf_ok = worst <= args.tol_qmf
+    detail_ok = report.max_detail <= args.tol_moments
+    if not qmf_ok:
+        print(f"FAIL: worst residual {worst:.3e} at pair {worst_pair} "
+              f"exceeds --tol-qmf {args.tol_qmf:g}", file=sys.stderr)
+    if not detail_ok:
+        print(f"FAIL: reproduction max detail {report.max_detail:.3e} "
+              f"exceeds --tol-moments {args.tol_moments:g}", file=sys.stderr)
+    if not (qmf_ok and detail_ok):
         return 2
-    print(f"OK: max cross-QMF residual {worst:.3e} <= {args.tol_qmf:g}")
+    print(f"OK: max cross-QMF residual {worst:.3e} <= {args.tol_qmf:g}, "
+          f"max detail {report.max_detail:.3e} <= {args.tol_moments:g}")
     return 0
 
 

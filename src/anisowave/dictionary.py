@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,6 +62,15 @@ class UnivariateQMFSet:
                 f"need {self.scale} filters, got {len(self.filters)}")
         if any(f.dim != 1 for f in self.filters):
             raise ScaleMismatchError("univariate filters must be 1-D")
+
+    @cached_property
+    def trimmed_filters(self) -> tuple[CoefSeq, ...]:
+        """The filters cut to their nonzero support, computed on first use.
+
+        Renders read these; ``filters`` stay as given for bank filters,
+        bank files and config digests, and building a set trims nothing.
+        """
+        return tuple(f.trimmed() for f in self.filters)
 
     def qmf_residuals(self) -> dict[tuple[int, int], float]:
         """Residual of every ordered filter pair against the QMF identity."""

@@ -39,7 +39,12 @@ splits the mask's taps once for the whole chain, walks each step's box
 in Python integers and refuses a step over the cell cap before it
 allocates.  A step of the chain and a one-pair ``_subdivision`` call
 pick their route by one rule (``_loops_mask``) and run one strided-add
-loop (``_spread``), so every iterate is bit for bit that of a loop of
+loop (``_spread``).  The one exception is a chain step over the mask
+in one dimension with xi = sigma >= 2: it adds one row of the mask's
+polyphase matrix per coarse shift (``_phase_step``; Daubechies, *Ten
+Lectures on Wavelets*; Vaidyanathan, *Multirate Systems and Filter
+Banks*).  That route follows from xi's dimension and sign alone, and on
+finite data every iterate is bit for bit that of a loop of
 ``polyphase_subdivision`` calls.
 
 Inside the library the kernel also carries a stack of inputs: ``_analysis``
@@ -700,26 +705,79 @@ def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefS
     """The iterates c_1, c_2, ... of one subdivision scheme from c, without end.
 
     Each iterate is polyphase_subdivision([previous], xi, [mask]) bit for
-    bit: it takes ``_loops_mask``'s route through ``_spread`` into a
-    zeroed array over ``_image_box``.  The mask's taps are split once for
-    the whole chain, and each step's box is walked in Python integers; a
-    step whose box would hold more than cap cells raises
-    ``GridTooLargeError`` before anything is allocated.
+    bit (on finite data; see ``_phase_step``).  The mask is split once
+    for the whole chain, and each step's box is walked in Python
+    integers; a step whose box would hold more than cap cells raises
+    ``GridTooLargeError`` before anything is allocated.  A step takes
+    ``_loops_mask``'s route through ``_spread``, except that a step over
+    the mask in one dimension with xi = sigma >= 2 (each axis of a
+    tensor render) adds one row of the mask's polyphase matrix
+    M[nu, rho] = mask(h + sigma nu + rho), h the mask's origin, per
+    coarse shift nu (``_phase_rows``, ``_phase_step``).  Negative 1-D
+    dilations and 2-D and 3-D chains add one tap at a time.
     """
     if not c.dim == mask.dim == xi.dim:
         raise DimMismatchError(f"dimensions {c.dim}, {mask.dim} and {xi.dim} differ")
     s = xi.dim
     hull = _seq_box(mask)
-    taps = _taps(mask.origin, mask.data)
-    count = len(taps[1])
+    count = np.count_nonzero(mask.data)
+    sigma = xi.entries[0][0]
+    phases = _phase_rows(mask.data, sigma) if s == 1 and sigma >= 2 else None
+    taps = _taps(mask.origin, mask.data) if phases is None else None
     origin, data, box = c.origin, c.data, _seq_box(c)
     while True:
         box = _capped_image(xi, box, hull, cap)
-        out = np.zeros(_box_shape(box))
-        _spread(out, box[0], xi, origin, data, mask,
-                taps if _loops_mask(data, s, count) else None)
-        origin, data = box[0], out
+        loops_mask = _loops_mask(data, s, count)
+        if loops_mask and phases is not None:
+            data = _phase_step(data, sigma, phases, len(mask.data))
+        else:
+            out = np.zeros(_box_shape(box))
+            _spread(out, box[0], xi, origin, data, mask, taps if loops_mask else None)
+            data = out
+        origin = box[0]
         yield CoefSeq(origin, data)
+
+
+def _phase_rows(a: np.ndarray, sigma: int) -> list[tuple[int, np.ndarray]]:
+    """The polyphase matrix of a 1-D mask array a for dilation sigma.
+
+    M[nu, rho] = a[sigma nu + rho] for 0 <= rho < sigma, zero past the
+    end of a.  Returns the pairs (nu, M[nu]) of the rows that hold a
+    nonzero (NaN counts), in increasing nu.
+    """
+    m = np.zeros((-(-len(a) // sigma), sigma))
+    m.reshape(-1)[:len(a)] = a
+    return [(nu, m[nu]) for nu, row in enumerate((m != 0).tolist()) if any(row)]
+
+
+def _phase_step(data: np.ndarray, sigma: int, rows: list[tuple[int, np.ndarray]],
+                length: int) -> np.ndarray:
+    """One 1-D subdivision step by the kept rows (nu, M[nu]) of the
+    polyphase matrix M of a mask of the given length (``_phase_rows``).
+
+    With i counted from data's first cell and t from the mask's,
+    out(sigma i + t) sums a(t) data(i); writing t = sigma nu + rho,
+    out(sigma (i + nu) + rho) = sum_nu M[nu, rho] data(i).  The output
+    is zeroed as (n + height - 1, sigma) cells, M having height rows;
+    each kept row adds data times itself into rows nu .. nu + n - 1, and
+    the iterate is the first sigma (n - 1) + length cells (a contiguous
+    view, no copy).  The slack past it is under sigma cells.  Each
+    product is the ``data * w`` of ``_spread``, and each cell takes its
+    coset's taps in increasing order, so on finite data the result is
+    ``_spread``'s bit for bit: a zero entry of a kept row adds
+    data * 0.0, an exact no-op on an accumulator that starts at +0.0.
+    If data holds NaN or inf, those zero entries spread NaN into other
+    cosets; the iterate is not finite on either route.
+    """
+    n = len(data)
+    height = -(-length // sigma)
+    out = np.zeros((n + height - 1, sigma))
+    scaled = np.empty((n, sigma))
+    column = data[:, None]
+    for nu, w in rows:
+        target = out[nu:nu + n]
+        target += np.multiply(column, w, out=scaled)
+    return out.reshape(-1)[:sigma * (n - 1) + length]
 
 
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:

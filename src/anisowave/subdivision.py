@@ -15,10 +15,13 @@ identity).  All else iterates the polyphase kernel on the full grid,
 
 Every iterate loop here, the 1-D cascades of the tensor route included,
 is one refinement chain of the kernel (``seqcore._chain``): it splits
-its mask's taps once, and its iterates are bit for bit those of a loop
-of ``subdivide`` calls.  ``subdivide`` stays the one-step API.  The cell
-cap ANISO_CELL_CAP is read once per call, by ``_cell_cap``, and no step
-may build a grid of more cells.
+its mask once, and on finite data its iterates are bit for bit those of
+a loop of ``subdivide`` calls.  The 1-D cascades take the chain's
+polyphase route; the chains on the full grid add one tap at a time.
+Each univariate set trims its filters once, for its first render.
+``subdivide`` stays the one-step API.  The cell cap ANISO_CELL_CAP is
+read once per call, by ``_cell_cap``, and no step may build a grid of
+more cells.
 """
 
 from __future__ import annotations
@@ -118,10 +121,9 @@ class SampledFunction:
 
 
 def _matrix_power(m: IntMatrix, r: int) -> IntMatrix:
-    out = IntMatrix.identity(m.dim)
-    for _ in range(r):
-        out = m @ out
-    return out
+    """m^r by repeated squaring in Python integers (exact at any size)."""
+    power = np.linalg.matrix_power(np.array(m.entries, dtype=object), r)
+    return IntMatrix(tuple(map(tuple, power.tolist())))
 
 
 def _as_sampled(c: CoefSeq, level: int, xi_total: IntMatrix) -> SampledFunction:
@@ -189,15 +191,19 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
                     window: Window, cap: int) -> np.ndarray | None:
     """The level-r iterate of filter eta over window, built in the Smith frame.
 
-    Axis j runs the 1-D cascade of filter eta_j of bank.sets[j] (trimmed)
-    with r-1 lowpass steps of dilation sigma_j, one refinement chain per
-    axis.  Their outer product t lives on a frame box B, and
+    Axis j runs the 1-D cascade of filter eta_j of bank.sets[j] with r-1
+    lowpass steps of dilation sigma_j, one refinement chain per axis.
+    The chains start from the sets' trimmed filters, which each set
+    computes once (``UnivariateQMFSet.trimmed_filters``), and take the
+    1-D polyphase route of ``seqcore._chain`` (a set's scale is at least
+    2) in every step that loops over the lowpass's taps.  Their outer
+    product t lives on a frame box B, and
     out(theta1 b) = t(b); when theta1 = I and B is the window, t is out.
     Returns None unless theta1 maps every corner of B into the window:
     the strided view cannot detect a point that wraps a row.
     """
-    factors = [_refine(uset.filters[e].trimmed(), IntMatrix.diagonal([uset.scale]),
-                       uset.filters[0].trimmed(), r - 1, cap)
+    factors = [_refine(uset.trimmed_filters[e], IntMatrix.diagonal([uset.scale]),
+                       uset.trimmed_filters[0], r - 1, cap)
                for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
     shape = tuple(u.shape[0] for u in factors)

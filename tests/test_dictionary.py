@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import anisowave as aw
+from anisowave import mmra
 from anisowave.dictionary import (
     FAMILIES,
     ReproductionReport,
@@ -20,6 +21,7 @@ from anisowave.errors import (
 from anisowave.lattice import IntMatrix
 from anisowave.seqcore import Window, max_abs_diff
 from grid_oracle import grid_rows
+from test_subdivision import count_trims
 
 GAMMA1 = IntMatrix.from_rows([[1, -1], [0, 1]])
 
@@ -45,6 +47,34 @@ class TestUnivariateFamilies:
         g1 = aw.chui_lian_ternary().filters[1]
         pos = np.arange(g1.shape[0], dtype=float)
         assert abs(float((pos * g1.data).sum())) < 1e-14
+
+
+class TestSetsTrimOnFirstUse:
+    """Sets keep their filters as given; only renders read them trimmed."""
+
+    def test_building_trims_nothing(self, monkeypatch):
+        calls = count_trims(monkeypatch)
+        sets = univariate_sets_from_names(["cl3", "db2", "haar"])
+        aw.build_bank(IntMatrix.from_rows([[3, -1], [0, 2]]), (3, 2), sets[:2])
+        mmra.build_config(3, 2, 2, None, sets[:2])
+        assert calls == []
+        sets[0].trimmed_filters
+        assert len(calls) == 3
+
+    def test_zero_margins_stay_in_filters(self):
+        given = [((-1,), np.array([0.0, 1.0, 1.0, 0.0, 0.0])),
+                 ((-1,), np.array([0.0, 0.0, 1.0, -1.0, 0.0]))]
+        padded = aw.UnivariateQMFSet(2, tuple(aw.CoefSeq(o, d.copy()) for o, d in given))
+        assert [t.window for t in padded.trimmed_filters] == [Window((0,), (1,)),
+                                                              Window((1,), (2,))]
+        for f, (origin, data) in zip(padded.filters, given):
+            assert f.origin == origin and f.shape == data.shape
+            assert f.data.tobytes() == data.tobytes()
+        config = mmra.build_config(3, 2, 2, None, (aw.chui_lian_ternary(), padded))
+        # the digest hashes every bank filter's box and bytes; this value was
+        # taken before sets kept trimmed filters, when they kept only these
+        assert config.digest() == "8e217cf76bc0d0d1"
+        assert config.banks[0].filters[(0, 0)].shape == (6, 5)
 
 
 class TestMomentOrder:

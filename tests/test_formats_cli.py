@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -358,6 +359,64 @@ class TestCliBank:
         assert main(["bank", "verify", bank_file]) == 2
         captured = capsys.readouterr()
         assert "FAIL: worst residual nan" in captured.err
+        assert "OK" not in captured.out
+
+    @pytest.fixture()
+    def pulse_pair_bank(self, tmp_path):
+        """cl3 with the 2-band pulse pair [sqrt 2, 0] / [0, sqrt 2] on
+        diag(3, 2): an orthonormal bank whose highpass has no vanishing
+        moment, so it passes QMF and fails reproduction."""
+        r2 = math.sqrt(2.0)
+        pair = aw.UnivariateQMFSet(2, (CoefSeq((0,), np.array([r2, 0.0])),
+                                       CoefSeq((0,), np.array([0.0, r2]))))
+        family = str(tmp_path / "pulse_pair.json")
+        with open(family, "w") as fh:
+            json.dump(formats.univariate_set_to_json(pair), fh)
+        path = str(tmp_path / "bank.json")
+        assert main(["bank", "build", "--xi", "[[3,0],[0,2]]", "--sigma", "3,2",
+                     "--families", f"cl3,{family}", "-o", path]) == 0
+        return path
+
+    def test_reproduction_failure_names_its_check(self, pulse_pair_bank, capsys):
+        capsys.readouterr()
+        assert main(["bank", "verify", pulse_pair_bank]) == 2
+        captured = capsys.readouterr()
+        assert "max detail 7.07e-01" in captured.out
+        fails = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL: reproduction max detail 7.071e-01 "
+                         "exceeds --tol-moments 1e-10"]
+        assert "worst residual" not in captured.err and "OK" not in captured.out
+
+    def test_ok_line_gives_both_margins(self, pulse_pair_bank, capsys):
+        capsys.readouterr()
+        assert main(["bank", "verify", pulse_pair_bank, "--tol-moments", "1"]) == 0
+        ok = capsys.readouterr().out.splitlines()[-1]
+        assert ok.startswith("OK: max cross-QMF residual ")
+        assert ok.endswith("<= 1e-12, max detail 7.071e-01 <= 1")
+
+    def test_both_checks_fail_on_two_lines(self, pulse_pair_bank, capsys):
+        capsys.readouterr()
+        assert main(["bank", "verify", pulse_pair_bank, "--tol-qmf", "0"]) == 2
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL")]
+        assert len(fails) == 2
+        assert fails[0].startswith("FAIL: worst residual ")
+        assert fails[0].endswith("exceeds --tol-qmf 0")
+        assert fails[1].startswith("FAIL: reproduction max detail ")
+
+    def test_nan_detail_fails_reproduction(self, bank_file, monkeypatch, capsys):
+        real = cli.reproduction_check
+
+        def nan_detail(*args):
+            report = real(*args)
+            row = dataclasses.replace(report.rows[0], detail_max=float("nan"))
+            return dataclasses.replace(report, rows=(row,) + report.rows[1:])
+
+        monkeypatch.setattr(cli, "reproduction_check", nan_detail)
+        assert main(["bank", "verify", bank_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "FAIL: reproduction max detail nan exceeds --tol-moments 1e-10"]
         assert "OK" not in captured.out
 
     def test_malformed_xi_exit_1(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import anisowave as aw
-from anisowave import subdivision
+from anisowave import seqcore, subdivision
 from anisowave.dictionary import univariate_sets_from_names
 from anisowave.errors import GridMismatchError, GridTooLargeError, InconclusiveError
 from anisowave.lattice import IntMatrix, inverse_unimodular
@@ -431,3 +431,172 @@ class TestChain:
         xi = IntMatrix.diagonal([2] * s)
         assert not _loops_mask(start.data, s, 12)
         assert_chain_matches_loop(start, xi, mask, 3)
+
+
+# -- the 1-D polyphase route of a refinement chain --------------------------------
+
+def count_phase_steps(monkeypatch):
+    """Record each step that takes the 1-D polyphase route."""
+    calls = []
+    real = seqcore._phase_step
+
+    def counted(data, *args):
+        calls.append(len(data))
+        return real(data, *args)
+
+    monkeypatch.setattr(seqcore, "_phase_step", counted)
+    return calls
+
+
+def dilation(sigma):
+    return IntMatrix.from_rows([[sigma]])
+
+
+class TestPolyphaseChain:
+    """1-D chains with sigma >= 2 add one polyphase row per coarse shift; the
+    iterates stay bit for bit those of a ``polyphase_subdivision`` loop."""
+
+    @pytest.mark.parametrize("name", ["cl3", "db2", "haar"])
+    def test_worked_filters_up_to_level_7(self, name, monkeypatch):
+        # every filter as the start and as the mask: cl3's g1 keeps three
+        # zero taps at its end, and the trimmed filters are the renders' own
+        calls = count_phase_steps(monkeypatch)
+        (uset,) = univariate_sets_from_names([name])
+        filters = uset.filters + uset.trimmed_filters
+        for start, mask in itertools.product(filters, filters):
+            assert_chain_matches_loop(start, dilation(uset.scale), mask, 7)
+        assert calls
+
+    @pytest.mark.parametrize("sigma,taps", [(2, 5), (3, 7), (3, 8), (4, 6), (5, 3)])
+    def test_mask_length_not_a_multiple_of_sigma(self, sigma, taps, monkeypatch):
+        calls = count_phase_steps(monkeypatch)
+        rng = np.random.RandomState(taps)
+        mask = CoefSeq((-1,), rng.randn(taps))
+        start = CoefSeq((2,), rng.randn(taps + 1))
+        assert_chain_matches_loop(start, dilation(sigma), mask, 5)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 1.5, -2.0, 0.5, 0.0],         # zero margins
+        [0.0, 0.0, 0.0, 0.7, 0.0, 0.0, 0.0],     # only zero rows but one
+        [1.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.25],   # interior zeros, zero phases
+        [0.0, -0.0, 0.0, 0.0],                   # all zeros
+    ])
+    @pytest.mark.parametrize("sigma", [2, 3])
+    def test_masks_with_zero_taps(self, values, sigma, monkeypatch):
+        calls = count_phase_steps(monkeypatch)
+        rng = np.random.RandomState(sigma)
+        mask = CoefSeq((-2,), np.array(values))
+        # signed data: zero entries of M add data * 0.0, -0.0 where data < 0
+        start = CoefSeq((0,), rng.randn(9))
+        assert_chain_matches_loop(start, dilation(sigma), mask, 5)
+        assert calls
+
+    @pytest.mark.parametrize("sigma", [-2, -3])
+    def test_negative_dilations_keep_the_tap_loop(self, sigma, monkeypatch):
+        calls = count_phase_steps(monkeypatch)
+        for uset in univariate_sets_from_names(["db2", "cl3"]):
+            for mask in uset.filters:
+                assert_chain_matches_loop(uset.filters[-1], dilation(sigma), mask, 6)
+        assert calls == []
+
+    def test_short_start_takes_the_data_route_first(self, monkeypatch):
+        calls = count_phase_steps(monkeypatch)
+        mask = aw.chui_lian_ternary().filters[0]
+        assert not _loops_mask(aw.delta(1).data, 1, 6)
+        assert_chain_matches_loop(aw.delta(1), dilation(3), mask, 6)
+        # the pulse spreads one scaled mask; every later step is polyphase
+        assert calls == [6, 21, 66, 201, 606]
+
+    def test_cap_boundary(self):
+        start = aw.daubechies2().filters[1]
+        mask = aw.daubechies2().filters[0]
+        window, cells = start.window, []
+        for _ in range(4):
+            window = Window(*_image_box(dilation(2), window, mask.window))
+            cells.append(window.cells)
+        last = cells[-1]
+        # a cap equal to the last step's box lets it run ...
+        got = list(itertools.islice(_chain(start, dilation(2), mask, last), 4))
+        assert got[-1].data.size == last
+        # ... and one cell less refuses it, as the loop does, before allocating
+        refused = refused_at(_chain(start, dilation(2), mask, last - 1))
+        assert refused == refused_at(subdivision_loop(start, dilation(2), mask, last - 1))
+        assert refused == (3, f"refinement would need {last} cells (cap {last - 1})")
+
+    def test_iterate_is_a_view_of_one_buffer(self):
+        # the iterate is a contiguous prefix of the step's (rows, sigma)
+        # buffer: the slack past it is under sigma cells
+        mask = aw.chui_lian_ternary().filters[1]
+        start = aw.chui_lian_ternary().filters[2]
+        for c in itertools.islice(_chain(start, dilation(3), mask, 10 ** 6), 3):
+            assert c.data.flags.c_contiguous and c.data.base is not None
+            assert 0 <= c.data.base.size - c.data.size < 3
+
+    def test_non_finite_data_stays_non_finite(self):
+        # zero entries of M turn inf into NaN in other cosets; the tap loop
+        # leaves those cells finite, but neither iterate is finite
+        mask = aw.chui_lian_ternary().filters[1]  # g1: three zero taps at its end
+        start = CoefSeq((0,), np.array([1.0, np.inf, 2.0, 3.0, 1.0, -1.0]))
+        with np.errstate(invalid="ignore"):
+            (got,) = itertools.islice(_chain(start, dilation(3), mask, 10 ** 6), 1)
+            (want,) = itertools.islice(subdivision_loop(start, dilation(3), mask, 10 ** 6), 1)
+        assert got.origin == want.origin and got.shape == want.shape
+        assert not np.isfinite(got.data).all() and not np.isfinite(want.data).all()
+        finite = np.isfinite(got.data)
+        assert np.array_equal(got.data[finite], want.data[finite])
+
+
+# -- set-up paid once per render ----------------------------------------------------
+
+def count_trims(monkeypatch):
+    """Record each CoefSeq.trimmed call by the sequence it trims."""
+    calls = []
+    real = CoefSeq.trimmed
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CoefSeq, "trimmed", counted)
+    return calls
+
+
+class TestRenderSetUp:
+    def test_renders_trim_each_set_filter_once(self, monkeypatch):
+        sets = univariate_sets_from_names(["cl3", "db2"])
+        banks = [aw.build_bank(m, (3, 2), sets) for m in aw.dilation_family(3, 2, 2).matrices]
+        calls = count_trims(monkeypatch)
+        for bank in banks:
+            for eta in bank.indices():
+                aw.wavelet_samples(bank, eta, 3)
+        # the first renders trim every filter of the two shared sets once ...
+        assert sorted(map(id, calls)) == sorted(id(f) for u in sets for f in u.filters)
+        calls.clear()
+        # ... and no render trims after that
+        for bank in banks:
+            for eta in bank.indices():
+                for r in (1, 5):
+                    aw.wavelet_samples(bank, eta, r)
+        assert calls == []
+
+    def test_trimmed_filters_do_not_change_the_filters(self):
+        uset = aw.chui_lian_ternary()
+        given = [(f.origin, f.data.tobytes()) for f in uset.filters]
+        trimmed = uset.trimmed_filters
+        assert uset.trimmed_filters is trimmed
+        assert [(f.origin, f.data.tobytes()) for f in uset.filters] == given
+        assert [t.shape for t in trimmed] == [(6,), (3,), (6,)]
+        for t, f in zip(trimmed, uset.filters):
+            assert not np.shares_memory(t.data, f.data)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 5, 7, 40])
+    def test_total_dilation_is_the_power(self, r):
+        for xi in (IntMatrix.from_rows([[3, -1], [0, 2]]),
+                   IntMatrix.from_rows([[2, -2, -2], [-3, 5, 2], [0, 2, 2]])):
+            expect = IntMatrix.identity(xi.dim)
+            for _ in range(r):
+                expect = xi @ expect
+            got = _matrix_power(xi, r)
+            assert got == expect
+            assert all(type(x) is int for row in got.entries for x in row)
