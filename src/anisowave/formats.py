@@ -257,6 +257,10 @@ def bank_from_json(obj: dict) -> AnisoFilterBank:
         raise ValueError("bank factorization does not reproduce its dilation")
     filters = {_eta_from_key(k): coefseq_from_json(v)
                for k, v in obj["filters"].items()}
+    if filters.keys() != set(np.ndindex(*sigma)):
+        raise ValueError(f"bank filter indices must be exactly 0 <= eta < sigma = {sigma}")
+    if any(f.dim != xi.dim for f in filters.values()):
+        raise ValueError(f"bank filters must have dimension {xi.dim}")
     sets = obj.get("sets")
     if sets is not None:
         sets = _rebuilding_sets(fact, sets, filters)

@@ -37,28 +37,26 @@ Iterating one scheme (a cascade, a render, a diagnostic) is a refinement
 chain: ``_chain`` yields the successive iterates of one (xi, mask) pair,
 splits the mask's taps once for the whole chain, walks each step's box
 in Python integers and refuses a step over the cell cap before it
-allocates.  A step of the chain and a one-pair ``_subdivision`` call
-pick their route by one rule (``_loops_mask``) and run one strided-add
-loop (``_spread``).  The one exception is a chain step over the mask
-in one dimension with xi = sigma >= 2: it adds one row of the mask's
-polyphase matrix per coarse shift (``_phase_step``; Daubechies, *Ten
-Lectures on Wavelets*; Vaidyanathan, *Multirate Systems and Filter
+allocates.  A step of the chain and a one-pair ``polyphase_subdivision``
+call pick their route by one rule (``_loops_mask``) and run one
+strided-add loop (``_spread``).  The one exception is a chain step over
+the mask in one dimension with xi = sigma >= 2: it adds one row of the
+mask's polyphase matrix per coarse shift (``_phase_step``; Daubechies,
+*Ten Lectures on Wavelets*; Vaidyanathan, *Multirate Systems and Filter
 Banks*).  That route follows from xi's dimension and sign alone, and on
 finite data every iterate is bit for bit that of a loop of
 ``polyphase_subdivision`` calls.
 
-Inside the library the kernel also carries a stack of inputs: ``_analysis``
-and ``_subdivision`` take arrays whose last s axes lie on the lattice
-and whose leading axes are channels.  Every gathered view, dot product
-and strided add then serves all channels, and each channel gets exactly
-the arithmetic of a call on it alone: analysis splits its taps into the
-chunks of a one-channel call and hands each channel's gathered taps to
-its product as one contiguous block, so the two agree bit for bit.  The
-public calls on ``CoefSeq`` are the case without channels, and each
-bank check in ``dictionary`` is one such call: the cross-QMF residuals
-correlate every filter, stacked as channels, with every filter, and
-polynomial reproduction runs every monomial through one analysis and
-one subdivision call.
+Inside the library analysis also carries a stack of inputs: ``_analysis``
+takes an array whose last s axes lie on the lattice and whose leading
+axes are channels.  Every gathered view and dot product then serves all
+channels, and each channel gets exactly the arithmetic of a call on it
+alone: analysis splits its taps into the chunks of a one-channel call
+and hands each channel's gathered taps to its product as one contiguous
+block, so the two agree bit for bit.  The public calls on ``CoefSeq``
+are the case without channels.  The cross-QMF residuals of a bank are
+one such call: they correlate every filter, stacked as channels, with
+every filter.
 """
 
 from __future__ import annotations
@@ -363,25 +361,10 @@ def _taps(origin: Vec, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positions[k] is the lattice point beta_k of the k-th nonzero tap and
     weights[k] its value.  Grouped by the coset of beta under a dilation
     xi, the taps are the filter's polyphase components
-    f_rho(nu) = f(xi nu + rho).  Axes of data ahead of its lattice axes
-    are channels: a cell counts when one channel is nonzero there, and
-    weights[k] is that cell's (*channels) values.
+    f_rho(nu) = f(xi nu + rho).
     """
-    nz = _nonzero_cells(data, len(origin))
-    weights = data[..., nz]
-    return (np.argwhere(nz) + np.asarray(origin, dtype=np.int64),
-            np.moveaxis(weights, -1, 0) if weights.ndim > 1 else weights)
-
-
-def _nonzero_cells(data: np.ndarray, s: int) -> np.ndarray:
-    """Mask of the lattice cells (last s axes) holding a nonzero in some channel."""
     nz = data != 0
-    return nz.any(axis=tuple(range(data.ndim - s))) if data.ndim > s else nz
-
-
-def _count_cells(data: np.ndarray, s: int) -> int:
-    """Number of lattice cells (last s axes) holding a nonzero in some channel."""
-    return np.count_nonzero(data if data.ndim == s else _nonzero_cells(data, s))
+    return np.argwhere(nz) + np.asarray(origin, dtype=np.int64), data[nz]
 
 
 def _union_taps(seqs: Sequence[CoefSeq], hull: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -592,100 +575,75 @@ def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
     their parts (embedded in the parts' hull) into a scratch buffer,
     and one strided add writes it.  The output is the sum over the hull
     of the pairs' boxes (xi applied to c's window, widened by the mask
-    window), untrimmed.  This is ``_subdivision`` of the parts' arrays
-    with no channel axis.
-    """
-    return CoefSeq(*_subdivision([(c.origin, c.data) for c in parts], xi, masks))
-
-
-def _subdivision(parts: Sequence[tuple[Vec, np.ndarray]], xi: IntMatrix,
-                 masks: Sequence[CoefSeq]) -> tuple[Vec, np.ndarray]:
-    """``polyphase_subdivision`` of arrays, with channels riding along.
-
-    parts[k] is (origin, data): the last xi.dim axes of data lie over
-    the box at origin, and axes ahead of them are channels, the same in
-    every part.  Returns (lo, out), out shaped (*channels, *box) over
-    the box at lo.  Each channel takes the operations of a call on
-    that channel alone, where a cell of a part counts as nonzero when
-    one of its channels is.
+    window), untrimmed.
     """
     boxes = []
-    for (origin, data), mask in zip(parts, masks, strict=True):
-        if len(origin) != mask.dim:
-            raise DimMismatchError(f"dimensions {len(origin)} and {mask.dim} differ")
-        boxes.append(_image_box(xi, _array_box(origin, data), _seq_box(mask)))
+    for c, mask in zip(parts, masks, strict=True):
+        _check_dims(c, mask)
+        boxes.append(_image_box(xi, _seq_box(c), _seq_box(mask)))
     if not boxes:
         raise ValueError("no components to subdivide")
-    s = xi.dim
-    channels = parts[0][1].shape[:-s]
     box = out_box = _box_hull(boxes)
-    by_mask = [_loops_mask(data, s, np.count_nonzero(mask.data))
-               for (_, data), mask in zip(parts, masks)]
+    by_mask = [_loops_mask(c.data, np.count_nonzero(mask.data))
+               for c, mask in zip(parts, masks)]
     shared = sum(by_mask) > 1
     if shared:
         group = [k for k, flag in enumerate(by_mask) if flag]
-        part_hull = _box_hull(_array_box(*parts[k]) for k in group)
+        part_hull = _box_hull(_seq_box(parts[k]) for k in group)
         mask_hull = _box_hull(_seq_box(masks[k]) for k in group)
         # the parts' hull can reach cells outside every pair's box; those
         # receive only zeros and are cut off below
         out_box = _box_hull((box, _image_box(xi, part_hull, mask_hull)))
-    out = np.zeros((*channels, *_box_shape(out_box)))
-    for (origin, data), mask, flag in zip(parts, masks, by_mask):
+    out = np.zeros(_box_shape(out_box))
+    for c, mask, flag in zip(parts, masks, by_mask):
         if not (flag and shared):
-            _spread(out, out_box[0], xi, origin, data, mask,
+            _spread(out, out_box[0], xi, c.origin, c.data, mask,
                     _taps(mask.origin, mask.data) if flag else None)
     if shared:
         shifts, weights = _union_taps([masks[k] for k in group], mask_hull)
         shape = _box_shape(part_hull)
-        width = math.prod(channels)
-        layers = _stacked([parts[k] for k in group], part_hull).reshape(
-            len(group), width, -1).transpose(1, 0, 2)
+        layers = _stacked([(parts[k].origin, parts[k].data) for k in group],
+                          part_hull).reshape(len(group), -1)
         if len(shifts):
             view, rows = _shifted_views(out, out_box[0], xi, part_hull[0], shape, shifts)
-            scratch = np.empty((width, layers.shape[2]))
-            spread = scratch.reshape(*channels, *shape)
-            per_channel = list(zip(layers, scratch))
+            scratch = np.empty(layers.shape[1])
+            spread = scratch.reshape(shape)
             for row, w in zip(rows, np.ascontiguousarray(weights.T)):
-                for layer, acc in per_channel:
-                    np.dot(w, layer, out=acc)
+                np.dot(w, layers, out=scratch)
                 target = view[row]
                 target += spread
     if out_box != box:
-        out = out[(..., *(slice(l - o, h - o + 1)
-                          for l, h, o in zip(*box, out_box[0])))]
-    return box[0], out
+        out = out[tuple(slice(l - o, h - o + 1)
+                        for l, h, o in zip(*box, out_box[0]))]
+    return CoefSeq(box[0], out)
 
 
-def _loops_mask(data: np.ndarray, s: int, mask_taps: int) -> bool:
+def _loops_mask(data: np.ndarray, mask_taps: int) -> bool:
     """The route of one subdivision pair: loop over the mask's taps unless
-    data (lattice on its last s axes) has fewer nonzero cells than that."""
-    return _count_cells(data, s) >= mask_taps
+    data has fewer nonzero cells than that."""
+    return np.count_nonzero(data) >= mask_taps
 
 
 def _spread(out: np.ndarray, out_lo: Vec, xi: IntMatrix, origin: Vec,
             data: np.ndarray, mask: CoefSeq,
             taps: tuple[np.ndarray, np.ndarray] | None):
-    """Add one pair's subdivision into out, whose last xi.dim axes lie over
-    the box at out_lo, by the route ``_loops_mask`` picks.
+    """Add one pair's subdivision into out, over the box at out_lo, by the
+    route ``_loops_mask`` picks.
 
     Given the mask's taps (shifts, weights), each tap beta adds its weight
     times data into the strided view of out at xi alpha + beta.  Given
     None, each nonzero cell alpha of data adds the mask, scaled by that
-    cell's channels, into the view at xi alpha.
+    cell's value, into the view at xi alpha.
     """
-    s = xi.dim
     if taps is not None:
         shifts, weights = taps
         src_lo, src, step = origin, data, xi
     else:
         positions, weights = _taps(origin, data)
-        channels = data.shape[:-s]
-        if channels:  # one column of channels per cell, to scale the mask
-            weights = weights.reshape(-1, *channels, *(1,) * s)
         shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
-        src_lo, src, step = mask.origin, mask.data, IntMatrix.identity(s)
+        src_lo, src, step = mask.origin, mask.data, IntMatrix.identity(xi.dim)
     if len(weights):
-        view, rows = _shifted_views(out, out_lo, step, src_lo, src.shape[-s:], shifts)
+        view, rows = _shifted_views(out, out_lo, step, src_lo, src.shape, shifts)
         scaled = np.empty(view.shape[1:])
         for row, w in zip(rows.tolist(), weights):
             target = view[row]
@@ -727,7 +685,7 @@ def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefS
     origin, data, box = c.origin, c.data, _seq_box(c)
     while True:
         box = _capped_image(xi, box, hull, cap)
-        loops_mask = _loops_mask(data, s, count)
+        loops_mask = _loops_mask(data, count)
         if loops_mask and phases is not None:
             data = _phase_step(data, sigma, phases, len(mask.data))
         else:

@@ -3,12 +3,12 @@ checked banks from their taps.
 
 ``grid_rows`` is the grid check of polynomial reproduction: it samples
 every monomial on a window, runs one stacked analysis over all filters
-and one lowpass subdivision, reads the analysis details on the
-boundary-free core and fits a polynomial to the refined samples on the
-subdivision's boundary-free output cells.  ``direct_residuals`` is the
-cross-QMF residual matrix of the stored filters under xi itself, stacked
-over their bounding box (no Smith frame).  ``dense_moment_order`` sums
-the moments of a filter over its whole box.
+and one lowpass subdivision per monomial, reads the analysis details on
+the boundary-free core and fits a polynomial to the refined samples on
+the subdivision's boundary-free output cells.  ``direct_residuals`` is
+the cross-QMF residual matrix of the stored filters under xi itself,
+stacked over their bounding box (no Smith frame).
+``dense_moment_order`` sums the moments of a filter over its whole box.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from anisowave.dictionary import _core_lags
 from anisowave.errors import WindowTooSmallError
 from anisowave.lattice import _integer_inverse
 from anisowave.seqcore import (
+    CoefSeq,
     _analysis,
     _box_hull,
     _box_shape,
@@ -27,9 +28,9 @@ from anisowave.seqcore import (
     _seq_box,
     _shifted_views,
     _stacked,
-    _subdivision,
     _taps,
     _values_at,
+    polyphase_subdivision,
     sample_polynomial,
 )
 
@@ -106,8 +107,9 @@ def grid_rows(bank, degree, window):
     lo, parts = _analysis(window.lo, samples, bank.xi, list(bank.filters.values()))
     highpass = [k for k, eta in enumerate(bank.filters) if any(eta)]
     details = np.abs(_values_at(lo, parts[highpass], core) * (1.0 / bank.det))
-    lo, refined = _subdivision([(window.lo, samples)], bank.xi, [bank.lowpass])
-    fitted = _values_at(lo, refined, out_core)
+    fitted = [polyphase_subdivision([CoefSeq(window.lo, sample)], bank.xi,
+                                    [bank.lowpass]).values_at(out_core)
+              for sample in samples]
     points = out_core.astype(np.float64)
     return [(expo, float(details[:, k].max()), fit_residual(points, fitted[k], sum(expo)))
             for k, expo in enumerate(expos)]

@@ -1,13 +1,14 @@
-"""The kernel's channel axes and the bank checks built on them.
+"""The analysis kernel's channel axes and the bank checks built on them.
 
-A stack of inputs rides through one analysis or subdivision call on
-leading channel axes.  Each channel must take exactly the arithmetic of
-a call on that channel alone over the same box, so the properties below
-compare stacked calls with per-input calls bit for bit, and with the
-direct oracles of ``test_polyphase`` within their tolerances.  The bank
+A stack of inputs rides through one analysis call on leading channel
+axes.  Each channel must take exactly the arithmetic of a call on that
+channel alone over the same box, so the properties below compare
+stacked calls with per-input calls bit for bit, and with the direct
+analysis oracle of ``test_polyphase`` within its tolerance.  The bank
 checks that stack their operands (``residual_matrix`` over the filters,
-the grid oracle of polynomial reproduction over the monomials) are
-compared with the per-pair and per-monomial loops they replace.
+the grid oracle of polynomial reproduction, whose analysis stacks the
+monomials) are compared with the per-pair and per-monomial loops they
+replace.
 """
 
 import dataclasses
@@ -23,8 +24,6 @@ from anisowave.seqcore import (
     CoefSeq,
     Window,
     _analysis,
-    _count_cells,
-    _subdivision,
     cross_qmf_residual,
     embed,
     max_abs_diff,
@@ -33,7 +32,7 @@ from anisowave.seqcore import (
 )
 from anisowave.subdivision import SubdivisionOp, subdivide
 from grid_oracle import fit_residual, grid_rows, subdivision_core
-from test_polyphase import expansive, oracle_analysis, oracle_subdivision, scale_of, sequences
+from test_polyphase import expansive, oracle_analysis, scale_of, sequences
 from test_random_dilations import banks
 
 CHANNEL_CASES = settings(max_examples=120, deadline=None)
@@ -73,20 +72,6 @@ def analysis_stacks(draw):
     xi = draw(expansive(s))
     seqs = draw(inputs(s, 7 if s == 2 else 4, draw(st.integers(1, 3))))
     return xi, seqs, draw(filters(s, draw(st.integers(1, 3))))
-
-
-@st.composite
-def subdivision_stacks(draw):
-    """1-3 (part, mask) pairs, each part a stack of the same 1-3 channel count."""
-    s = draw(st.sampled_from([2, 3]))
-    xi = draw(expansive(s))
-    width = draw(st.integers(1, 3))
-    pairs = []
-    for _ in range(draw(st.integers(1, 3))):
-        seqs = draw(inputs(s, 7 if s == 2 else 4, width))
-        mask = draw(filters(s, 1))[0]
-        pairs.append((seqs, mask))
-    return xi, pairs
 
 
 def common_box(seqs):
@@ -141,55 +126,6 @@ def test_trimmed_outputs_have_the_trimmed_box(case):
             assert (got.origin, got.shape) == ((0,) * c.dim, (1,) * c.dim)
         if row.any() and got.shape == row.shape:
             assert not got.data.flags.owndata  # kept without a copy
-
-
-# -- subdivision -------------------------------------------------------------------
-
-@CHANNEL_CASES
-@given(subdivision_stacks())
-def test_stacked_subdivision_equals_per_input_calls(case):
-    """Bit for bit where each part takes its route as in the stacked call.
-
-    A part is spread tap by tap of its mask when it has at least as many
-    nonzero cells as the mask, else nonzero by nonzero; in a stack a cell
-    counts when one channel is nonzero, so a sparse channel alone can
-    take the other route, and then its sums are only ordered otherwise.
-    """
-    xi, pairs = case
-    parts = [stack(seqs) for seqs, _ in pairs]
-    masks = [mask for _, mask in pairs]
-    lo, out = _subdivision(parts, xi, masks)
-    s = xi.dim
-    for j in range(out.shape[0]):
-        alone = [(origin, data[j]) for origin, data in parts]
-        one_lo, one = _subdivision(alone, xi, masks)
-        assert one_lo == lo
-        same_route = all(
-            (_count_cells(data, s) >= np.count_nonzero(mask.data))
-            == (_count_cells(data[j], s) >= np.count_nonzero(mask.data))
-            for (_, data), mask in zip(parts, masks))
-        if same_route:
-            assert out[j].tobytes() == one.tobytes()
-        else:
-            scale = max(float(np.abs(data).max()) * float(np.abs(mask.data).sum())
-                        for (_, data), mask in zip(parts, masks))
-            assert np.abs(out[j] - one).max() <= 1e-13 * max(scale, 1e-300)
-
-
-@CHANNEL_CASES
-@given(subdivision_stacks())
-def test_stacked_subdivision_matches_oracle(case):
-    xi, pairs = case
-    parts = [stack(seqs) for seqs, _ in pairs]
-    lo, out = _subdivision(parts, xi, [mask for _, mask in pairs])
-    for j in range(out.shape[0]):
-        pieces = [oracle_subdivision(seqs[j], mask, xi) for seqs, mask in pairs]
-        expect = pieces[0]
-        for piece in pieces[1:]:
-            box = common_box([expect, piece])
-            expect = CoefSeq(box[0], embed(expect, *box) + embed(piece, *box))
-        scale = max(scale_of(seqs[j], mask) for seqs, mask in pairs)
-        assert max_abs_diff(CoefSeq(lo, out[j]), expect) <= 1e-13 * scale
 
 
 # -- bank checks -----------------------------------------------------------------

@@ -347,6 +347,38 @@ class TestCliBank:
         assert custom in err and "non-finite" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("edit", ["no-lowpass", "extra-index", "long-index",
+                                      "1-d-filter"])
+    @pytest.mark.parametrize("command", ["verify", "cascade"])
+    def test_wrong_filter_set_exit_1(self, tmp_path, capsys, edit, command):
+        """A bank file whose filters are not indexed by exactly
+        Z_3 x Z_2, or hold a filter of another dimension, is malformed."""
+        path = str(tmp_path / "bank1.json")
+        assert main(["bank", "build", "--xi", XI1_JSON, "--sigma", "3,2",
+                     "--families", "cl3,db2", "-o", path]) == 0
+        data = json.load(open(path))
+        filters = data["filters"]
+        if edit == "no-lowpass":
+            del filters["0,0"]
+        elif edit == "extra-index":
+            filters["5,5"] = filters["1,1"]
+        elif edit == "long-index":
+            filters["1,1,1"] = filters["1,1"]
+        else:
+            filters["1,1"] = formats.coefseq_to_json(CoefSeq((0,), np.array([0.5, 0.5])))
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        out = str(tmp_path / "grids")
+        args = (["bank", "verify", bad] if command == "verify"
+                else ["cascade", bad, "-r", "2", "-o", out])
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "bad.json" in captured.err and "Traceback" not in captured.err
+        assert "OK" not in captured.out
+        assert not os.path.exists(out) or os.listdir(out) == []
+
     def test_nan_filter_in_memory_fails_verify(self, bank_file, monkeypatch, capsys):
         """A NaN that reaches the residuals, not first in their order, fails."""
         bank = formats.read_bank(bank_file)

@@ -429,7 +429,7 @@ class TestChain:
         mask = CoefSeq((-2,) * s, mask)
         start = CoefSeq((0,) * s, rng.randn(*(3,) * s))
         xi = IntMatrix.diagonal([2] * s)
-        assert not _loops_mask(start.data, s, 12)
+        assert not _loops_mask(start.data, 12)
         assert_chain_matches_loop(start, xi, mask, 3)
 
 
@@ -503,7 +503,7 @@ class TestPolyphaseChain:
     def test_short_start_takes_the_data_route_first(self, monkeypatch):
         calls = count_phase_steps(monkeypatch)
         mask = aw.chui_lian_ternary().filters[0]
-        assert not _loops_mask(aw.delta(1).data, 1, 6)
+        assert not _loops_mask(aw.delta(1).data, 6)
         assert_chain_matches_loop(aw.delta(1), dilation(3), mask, 6)
         # the pulse spreads one scaled mask; every later step is polyphase
         assert calls == [6, 21, 66, 201, 606]
