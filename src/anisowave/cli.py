@@ -174,7 +174,6 @@ def cmd_bank_verify(args) -> int:
 
 def cmd_cascade(args) -> int:
     bank = formats.read_bank(args.bank)
-    os.makedirs(args.out, exist_ok=True)
     indices = bank.indices()
     if args.filter == "all":
         wanted = list(range(len(indices)))
@@ -192,6 +191,7 @@ def cmd_cascade(args) -> int:
     if args.pgm and bank.dim != 2:
         print("error: PGM export needs a 2-D bank", file=sys.stderr)
         return 1
+    os.makedirs(args.out, exist_ok=True)
     for k in wanted:
         eta = indices[k]
         sf = wavelet_samples(bank, eta, args.levels)
@@ -296,14 +296,17 @@ def cmd_transform_decompose(args) -> int:
 
 
 def cmd_transform_reconstruct(args) -> int:
+    def grid(name: str) -> CoefSeq:
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValueError(f"grid name {name!r} is not a file in the tree")
+        return formats.read_grid(os.path.join(args.tree, name))
+
     def parse(manifest: dict):
         nodes = {}
         for entry in manifest["nodes"]:
-            details = {tuple(int(x) for x in key.split(",")):
-                       formats.read_grid(os.path.join(args.tree, fname))
+            details = {tuple(int(x) for x in key.split(",")): grid(fname)
                        for key, fname in entry["details"].items()}
-            approx = (formats.read_grid(os.path.join(args.tree, entry["approx"]))
-                      if entry["approx"] else None)
+            approx = grid(entry["approx"]) if entry["approx"] else None
             nodes[tuple(int(d) for d in entry["path"])] = mmra.TreeNode(details, approx)
         window = Window(tuple(manifest["signal_window"]["lo"]),
                         tuple(manifest["signal_window"]["hi"]))

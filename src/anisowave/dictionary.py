@@ -138,11 +138,7 @@ def moment_order(f: CoefSeq, tol: float = MOMENT_TOL) -> int:
     """
     if f.dim != 1:
         raise ScaleMismatchError("moment_order expects a 1-D sequence")
-    positions = np.arange(f.origin[0], f.origin[0] + f.shape[0], dtype=np.float64)
-    for k in range(f.shape[0] + 2):
-        if abs(float((positions ** k * f.data).sum())) > tol:
-            return k
-    return f.shape[0] + 2
+    return moment_order_nd(f, tol, cap=f.shape[0] + 2)
 
 
 def moment_order_nd(f: CoefSeq, tol: float = MOMENT_TOL, cap: int = 16) -> int:

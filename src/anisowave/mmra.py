@@ -183,31 +183,12 @@ def _digits_below(m: int, path: Digits | None, level: int) -> Sequence[int]:
     return range(m) if path is None else (path[level],)
 
 
-def _core_chain_nonempty(config: MMRAConfig, window: Window, levels: int,
-                         path: Digits | None) -> bool:
-    """Every analysis along the tree must keep a boundary-free lag.
-
-    Tracks the actual approximation boxes level by level and requires a
-    nonempty boundary-unaffected core at each analysis step.
-    """
-    def step(box: Window, j: int) -> Window | None:
-        bank = config.banks[j]
-        if not _has_core_lag(box, bank.xi, bank.support_hull()):
-            return None
-        # a core lag is a lag of the lowpass, so its lag box is not empty
-        return Window(*_lag_box(bank.xi, box, bank.lowpass.window))
-
-    boxes = [window]
-    for level in range(levels):
-        boxes = [step(box, j) for box in boxes
-                 for j in _digits_below(config.m, path, level)]
-        if None in boxes:
-            return False
-    return True
-
-
 def decompose(config: MMRAConfig, signal: CoefSeq) -> DecompositionTree:
-    """Run the tree transform over the configured depth or digit path."""
+    """Run the tree transform over the configured depth or digit path.
+
+    Refuses with ``WindowTooSmallError`` at the first analysis, depth
+    first, whose carried lag box has no boundary-free lag.
+    """
     window, path = signal.window, config.path
     if path is not None:
         if any(not 0 <= d < config.m for d in path):
@@ -217,21 +198,23 @@ def decompose(config: MMRAConfig, signal: CoefSeq) -> DecompositionTree:
         mode, depth = "full", config.depth
         if depth is None or depth < 1:
             raise DepthZeroError("full-tree decomposition needs depth >= 1")
-    if not _core_chain_nonempty(config, window, depth, path):
-        raise WindowTooSmallError(f"signal too small for {mode} depth {depth}")
     nodes = {(): TreeNode({}, None)}
 
-    def grow(node: Digits, approx: CoefSeq):
+    def grow(node: Digits, approx: CoefSeq, box: Window):
         if len(node) == depth:
             nodes[node].approx = approx
             return
         for j in _digits_below(config.m, path, len(node)):
-            parts = analyze(config.banks[j], approx)
-            child_approx = parts.pop((0,) * config.banks[j].dim)
+            bank = config.banks[j]
+            if not _has_core_lag(box, bank.xi, bank.support_hull()):
+                raise WindowTooSmallError(f"signal too small for {mode} depth {depth}")
+            parts = analyze(bank, approx)
+            child_approx = parts.pop((0,) * bank.dim)
             nodes[node + (j,)] = TreeNode(parts, None)
-            grow(node + (j,), child_approx)
+            # a core lag is a lag of the lowpass, so its lag box is not empty
+            grow(node + (j,), child_approx, Window(*_lag_box(bank.xi, box, bank.lowpass.window)))
 
-    grow((), signal)
+    grow((), signal, window)
     return DecompositionTree(mode, depth, config.m, nodes, window, config.digest())
 
 

@@ -543,6 +543,29 @@ class TestCliCascade:
         monkeypatch.setenv("ANISO_CELL_CAP", "100000000")
         assert main(["cascade", bank_file, "-r", "3", "-o", str(tmp_path / "g")]) == 0
 
+    def test_single_filter_writes_only_its_files(self, bank_file, tmp_path):
+        out = str(tmp_path / "phi")
+        assert main(["cascade", bank_file, "--filter", "0", "-r", "3", "-o", out]) == 0
+        assert sorted(os.listdir(out)) == ["phi.grid", "phi.json"]
+
+    @pytest.mark.parametrize("option, message", [
+        (["--filter", "99"], "filter index 99 out of range"),
+        (["--filter", "9,9"], "no filter with index (9, 9)"),
+        (["--pgm", "8"], "PGM export needs a 2-D bank"),
+    ])
+    def test_refusal_creates_no_output(self, bank_file, tmp_path, capsys, option,
+                                       message):
+        bank = bank_file
+        if option[0] == "--pgm":
+            bank = str(tmp_path / "bank3.json")
+            assert main(["bank", "build", "--xi", "[[3,0,0],[0,2,0],[0,0,2]]",
+                         "--sigma", "3,2,2", "--families", "cl3,db2,db2",
+                         "-o", bank]) == 0
+        out = str(tmp_path / "grids")
+        assert main(["cascade", bank, "-r", "3", "-o", out] + option) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -655,6 +678,50 @@ class TestCliTransform:
         assert main(["transform", "reconstruct", tree,
                      "-o", str(tmp_path / "r.grid")]) == 1
         assert "manifest.json" in capsys.readouterr().err
+
+    def test_path_digit_out_of_range_exit_1(self, config_file, signal_file, tmp_path,
+                                            capsys):
+        assert main(["transform", "decompose", config_file, signal_file,
+                     "-o", str(tmp_path / "tree"), "--path", "5,0"]) == 1
+        assert "digits outside range(0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["absolute", "parent", "subdirectory"])
+    @pytest.mark.parametrize("field", ["detail", "approx"])
+    def test_grid_name_outside_tree_exit_1(self, config_file, tmp_path, capsys, kind,
+                                           field):
+        for k, name in enumerate(["treeA", "treeB"]):
+            signal = str(tmp_path / f"{name}.grid")
+            rng = np.random.RandomState(20 + k)
+            formats.write_grid(signal, CoefSeq((0, 0), rng.randn(48, 48)))
+            assert main(["transform", "decompose", config_file, signal,
+                         "-o", str(tmp_path / name), "--path", "1,0"]) == 0
+        path = str(tmp_path / "treeA" / "manifest.json")
+        manifest = json.load(open(path))
+        leaf = next(n for n in manifest["nodes"] if n["approx"])
+        key = next(iter(leaf["details"]))
+        fname = leaf[field] if field == "approx" else leaf["details"][key]
+        if kind == "absolute":
+            name = str(tmp_path / "treeB" / fname)
+        elif kind == "parent":
+            name = os.path.join(os.pardir, "treeB", fname)
+        else:
+            # a real grid in a folder of the tree is still not a tree file
+            os.makedirs(tmp_path / "treeA" / "sub")
+            name = os.path.join("sub", "x.grid")
+            formats.write_grid(str(tmp_path / "treeA" / name),
+                               formats.read_grid(str(tmp_path / "treeB" / fname)))
+        if field == "approx":
+            leaf["approx"] = name
+        else:
+            leaf["details"][key] = name
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert main(["transform", "reconstruct", str(tmp_path / "treeA"),
+                     "-o", str(tmp_path / "r.grid"),
+                     "--check", str(tmp_path / "treeA.grid")]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "is not a file in the tree" in err
+        assert "Traceback" not in err
 
     def test_path_manifest_without_approx_exit_2(self, config_file, signal_file,
                                                   tmp_path, capsys):

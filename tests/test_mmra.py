@@ -292,6 +292,24 @@ def test_window_too_small_matches_enumeration(chain_configs, data):
             aw.decompose(config, signal)
 
 
+@pytest.mark.parametrize("depth, path, refusal", [
+    (2, None, None),
+    (3, None, "signal too small for full depth 3"),
+    (None, (0, 1, 1), "signal too small for path depth 3"),
+    (None, (1, 1, 0), None),
+])
+def test_window_too_small_on_22_ones(chain_configs, depth, path, refusal):
+    # the walk refuses at the first node without a boundary-free lag
+    config = dataclasses.replace(chain_configs[2], depth=depth, path=path)
+    signal = CoefSeq((0, 0), np.ones((22, 22)))
+    if refusal is None:
+        tree = aw.decompose(config, signal)
+        assert tree.depth == (depth or len(path))
+    else:
+        with pytest.raises(WindowTooSmallError, match=refusal):
+            aw.decompose(config, signal)
+
+
 class TestSlopeError:
     def test_empty_word(self, family):
         assert aw.slope_error(family, (), (0,), (0,)) == 0.0
