@@ -72,9 +72,14 @@ class UnivariateQMFSet:
         """
         return tuple(f.trimmed() for f in self.filters)
 
+    @cached_property
+    def dilation(self) -> IntMatrix:
+        """The 1-D dilation [[scale]], built on first use."""
+        return IntMatrix(((self.scale,),))
+
     def qmf_residuals(self) -> dict[tuple[int, int], float]:
         """Residual of every ordered filter pair against the QMF identity."""
-        xi = IntMatrix.from_rows([[self.scale]])
+        xi = self.dilation
         return {(k, l): cross_qmf_residual(self.filters[k], self.filters[l], xi, k == l)
                 for k in range(self.scale) for l in range(self.scale)}
 
@@ -184,6 +189,13 @@ class AnisoFilterBank:
     @property
     def lowpass(self) -> CoefSeq:
         return self.filters[(0,) * self.dim]
+
+    @cached_property
+    def frame(self) -> tuple[bool, bool]:
+        """(in frame: sets known and theta2 theta1 = I; theta1 = I), worked out
+        once.  Not a field, so equality and the frozen fields ignore it."""
+        fact, eye = self.fact, IntMatrix.identity(self.dim)
+        return self.sets is not None and fact.theta2 @ fact.theta1 == eye, fact.theta1 == eye
 
     def indices(self) -> list[tuple[int, ...]]:
         """All filter indices in lexicographic order (lowpass first)."""

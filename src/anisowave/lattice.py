@@ -47,8 +47,12 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+        rows = self.entries
+        if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
+            rows = tuple(tuple(map(_as_int, row)) for row in rows)  # as ``from_rows``
+            object.__setattr__(self, "entries", rows)
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
 
     @classmethod

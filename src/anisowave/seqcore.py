@@ -653,10 +653,13 @@ def _spread(out: np.ndarray, out_lo: Vec, xi: IntMatrix, origin: Vec,
 def _capped_image(xi: IntMatrix, window: Box, hull: Box, cap: int) -> Box:
     """``_image_box``, refused when it would hold more than cap cells."""
     box = _image_box(xi, window, hull)
-    cells = math.prod(_box_shape(box))
+    _refuse_over(math.prod(_box_shape(box)), cap)
+    return box
+
+
+def _refuse_over(cells: int, cap: int):
     if cells > cap:
         raise GridTooLargeError(f"refinement would need {cells} cells (cap {cap})")
-    return box
 
 
 def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefSeq]:
@@ -671,8 +674,10 @@ def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefS
     the mask in one dimension with xi = sigma >= 2 (each axis of a
     tensor render) adds one row of the mask's polyphase matrix
     M[nu, rho] = mask(h + sigma nu + rho), h the mask's origin, per
-    coarse shift nu (``_phase_rows``, ``_phase_step``).  Negative 1-D
-    dilations and 2-D and 3-D chains add one tap at a time.
+    coarse shift nu (``_phase_rows``, ``_phase_step``), its box being
+    (sigma lo + h_lo, sigma hi + h_hi) in plain ints.  Negative 1-D
+    dilations and 2-D and 3-D chains add one tap at a time.  Iterates
+    wrap the kernel's own float64 C-contiguous arrays, unchecked.
     """
     if not c.dim == mask.dim == xi.dim:
         raise DimMismatchError(f"dimensions {c.dim}, {mask.dim} and {xi.dim} differ")
@@ -684,8 +689,12 @@ def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefS
     taps = _taps(mask.origin, mask.data) if phases is None else None
     origin, data, box = c.origin, c.data, _seq_box(c)
     while True:
-        box = _capped_image(xi, box, hull, cap)
-        loops_mask = _loops_mask(data, count)
+        if phases is None:
+            box = _capped_image(xi, box, hull, cap)
+        else:
+            box = ((sigma * box[0][0] + hull[0][0],), (sigma * box[1][0] + hull[1][0],))
+            _refuse_over(box[1][0] - box[0][0] + 1, cap)
+        loops_mask = np.count_nonzero(data) >= count  # ``_loops_mask``, inlined
         if loops_mask and phases is not None:
             data = _phase_step(data, sigma, phases, len(mask.data))
         else:
@@ -693,7 +702,9 @@ def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefS
             _spread(out, box[0], xi, origin, data, mask, taps if loops_mask else None)
             data = out
         origin = box[0]
-        yield CoefSeq(origin, data)
+        step = object.__new__(CoefSeq)
+        step.origin, step.data = origin, data
+        yield step
 
 
 def _phase_rows(a: np.ndarray, sigma: int) -> list[tuple[int, np.ndarray]]:

@@ -18,7 +18,7 @@ is one refinement chain of the kernel (``seqcore._chain``): it splits
 its mask once, and on finite data its iterates are bit for bit those of
 a loop of ``subdivide`` calls.  The 1-D cascades take the chain's
 polyphase route; the chains on the full grid add one tap at a time.
-Each univariate set trims its filters once, for its first render.
+Sets trim their filters, and banks keep their frame facts, once.
 ``subdivide`` stays the one-step API.  The cell cap ANISO_CELL_CAP is
 read once per call, by ``_cell_cap``, and no step may build a grid of
 more cells.
@@ -27,6 +27,7 @@ more cells.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,8 +43,10 @@ from .seqcore import (
     _capped_image,
     _chain,
     _check_dilation,
+    _image_box,
     _seq_box,
     _shifted_views,
+    _taps,
     delta,
     downsample,
     max_abs_diff,
@@ -121,9 +124,18 @@ class SampledFunction:
 
 
 def _matrix_power(m: IntMatrix, r: int) -> IntMatrix:
-    """m^r by repeated squaring in Python integers (exact at any size)."""
-    power = np.linalg.matrix_power(np.array(m.entries, dtype=object), r)
-    return IntMatrix(tuple(map(tuple, power.tolist())))
+    """m^r by repeated squaring of row tuples in Python integers (exact at any size)."""
+    power, square = None, m.entries
+    while r:
+        if r & 1:
+            power = square if power is None else _times(power, square)
+        r >>= 1
+        square = _times(square, square) if r else square
+    return IntMatrix.identity(m.dim) if power is None else IntMatrix(power)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in zip(*b)]) for row in a])
 
 
 def _as_sampled(c: CoefSeq, level: int, xi_total: IntMatrix) -> SampledFunction:
@@ -146,8 +158,8 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     window is the box those steps reach, and no step may exceed
     ANISO_CELL_CAP cells.
 
-    Route: when the factorization is a similarity (theta2 theta1 = I)
-    and the bank knows its univariate sets, every filter is
+    Route: when the bank knows its sets and theta2 theta1 = I (facts it
+    keeps from its first render, with theta1 = I), every filter is
     g(theta1^-1 .) for a tensor filter g, and the iterate is the tensor
     product of one 1-D cascade per axis (scale sigma_j) composed with
     theta1^-1.  The 1-D cascades are multiplied out once, straight into
@@ -181,10 +193,9 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
 
 
 def _in_frame(bank: AnisoFilterBank) -> bool:
-    """Whether ``wavelet_samples`` renders the bank as a tensor product:
-    it knows its sets and its factorization is a similarity."""
-    fact = bank.fact
-    return bank.sets is not None and fact.theta2 @ fact.theta1 == IntMatrix.identity(bank.dim)
+    """Whether ``wavelet_samples`` renders the bank as a tensor product: it knows
+    its sets and its factorization is a similarity (``AnisoFilterBank.frame``)."""
+    return bank.frame[0]
 
 
 def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
@@ -193,28 +204,29 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
 
     Axis j runs the 1-D cascade of filter eta_j of bank.sets[j] with r-1
     lowpass steps of dilation sigma_j, one refinement chain per axis.
-    The chains start from the sets' trimmed filters, which each set
-    computes once (``UnivariateQMFSet.trimmed_filters``), and take the
-    1-D polyphase route of ``seqcore._chain`` (a set's scale is at least
-    2) in every step that loops over the lowpass's taps.  Their outer
-    product t lives on a frame box B, and
-    out(theta1 b) = t(b); when theta1 = I and B is the window, t is out.
-    Returns None unless theta1 maps every corner of B into the window:
+    The chains start from the sets' trimmed filters and dilations, which
+    each set builds once, and take the 1-D polyphase route of
+    ``seqcore._chain`` (a set's scale is at least 2) in every step that
+    loops over the lowpass's taps.  Their outer product t lives on a
+    frame box B, and out(theta1 b) = t(b); when theta1 = I and B is the
+    window, t is out.  Returns None unless theta1 maps every corner of
+    B into the window, checked on the box of theta1 B in integer tuples:
     the strided view cannot detect a point that wraps a row.
     """
-    factors = [_refine(uset.trimmed_filters[e], IntMatrix.diagonal([uset.scale]),
+    factors = [_refine(uset.trimmed_filters[e], uset.dilation,
                        uset.trimmed_filters[0], r - 1, cap)
                for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
     shape = tuple(u.shape[0] for u in factors)
     theta1 = bank.fact.theta1
-    corners = itertools.product(*[(l, l + n - 1) for l, n in zip(lo, shape)])
-    if not all(window.contains(theta1.apply(p)) for p in corners):
+    image_lo, image_hi = _image_box(theta1, (lo, tuple(l + n - 1 for l, n in zip(lo, shape))),
+                                    ((0,) * bank.dim,) * 2)
+    if not all(a <= b for a, b in zip(window.lo + image_hi, image_lo + window.hi)):
         return None
     head = np.ones(())
     for u in factors[:-1]:
         head = np.multiply.outer(head, u.data)
-    if (lo, shape) == (window.lo, window.shape) and theta1 == IntMatrix.identity(bank.dim):
+    if bank.frame[1] and (lo, shape) == (window.lo, window.shape):
         return np.multiply.outer(head, factors[-1].data)
     out = np.zeros(window.shape)
     view, rows = _shifted_views(out, window.lo, theta1, lo, shape,
@@ -249,19 +261,25 @@ def conjugation_check(bank: AnisoFilterBank, r: int) -> float:
     diag(sigma) . theta2 . theta1, mapped back through theta1.  The two
     sides agree exactly in exact arithmetic, so the return value is
     floating-point noise for a correctly built bank.  The comparison
-    covers both supports.
+    covers both supports.  Every grid (the lag box of h = lowpass(theta1 .),
+    the chain from h's taps theta1^-1 beta, and the lag box theta1 R of
+    its last iterate) is sized before any is built, against the cap.
     """
     if r < 0:
         raise ValueError("level must be >= 0")
     cap = _cell_cap()
-    lhs = _refine(delta(bank.dim), bank.xi, bank.lowpass, r, cap)
-
     theta1 = bank.fact.theta1
     theta1_inv = inverse_unimodular(theta1)
-    h = reindex(bank.lowpass, theta1)
-    lam = bank.fact.theta2 @ theta1
-    sigma_lam = IntMatrix.diagonal(bank.fact.sigma) @ lam
-    rhs = _refine(delta(bank.dim), sigma_lam, h, r, cap)
+    sigma_lam = IntMatrix.diagonal(bank.fact.sigma) @ bank.fact.theta2 @ theta1
+    box = zero = ((0,) * bank.dim,) * 2
+    _capped_image(theta1_inv, _seq_box(bank.lowpass), zero, cap)
+    taps = _taps(bank.lowpass.origin, bank.lowpass.data)[0] @ np.array(theta1_inv.entries).T
+    hull = (tuple(taps.min(0).tolist()), tuple(taps.max(0).tolist())) if len(taps) else zero
+    for _ in range(r):
+        box = _capped_image(sigma_lam, box, hull, cap)
+    _capped_image(theta1, box, zero, cap)
+    lhs = _refine(delta(bank.dim), bank.xi, bank.lowpass, r, cap)
+    rhs = _refine(delta(bank.dim), sigma_lam, reindex(bank.lowpass, theta1), r, cap)
     return max_abs_diff(lhs, reindex(rhs, theta1_inv))
 
 

@@ -259,6 +259,42 @@ class TestSmithNormalForm:
         assert fact.reconstruct() == IntMatrix.from_rows([[2, 4], [1, 2]])
 
 
+class TestListRows:
+    """``IntMatrix(entries)`` with list rows is the matrix ``from_rows`` builds."""
+
+    def test_equal_and_hash_as_from_rows(self):
+        m = IntMatrix([[3, 0], [0, 2]])
+        assert m == IntMatrix.from_rows([[3, 0], [0, 2]])
+        assert hash(m) == hash(IntMatrix.from_rows([[3, 0], [0, 2]]))
+        assert m.entries == ((3, 0), (0, 2))
+        assert all(type(x) is int for row in m.entries for x in row)
+
+    def test_integral_entries_of_any_type(self):
+        m = IntMatrix([np.array([3, -1]), [0.0, 2]])
+        assert m == XI1 and all(type(x) is int for row in m.entries for x in row)
+
+    @pytest.mark.parametrize("rows", [[[3, 0.5], [0, 2]], [[3, 0], ["2", 1]]])
+    def test_non_integral_entry_refused(self, rows):
+        with pytest.raises(ValueError):
+            IntMatrix(rows)
+
+    def test_smith_factorization(self):
+        got = aw.smith_normal_form(IntMatrix([[3, -1], [0, 2]]))
+        assert got == aw.smith_normal_form(XI1)
+        assert got.reconstruct() == XI1
+
+    def test_build_bank(self):
+        rows = [[2, -2, -2], [-3, 5, 2], [0, 2, 2]]
+        sets = (aw.daubechies2(), aw.chui_lian_ternary(), aw.daubechies2())
+        got = aw.build_bank(IntMatrix(rows), (2, 3, 2), sets)
+        want = aw.build_bank(IntMatrix.from_rows(rows), (2, 3, 2), sets)
+        assert got.xi == want.xi and got.fact == want.fact
+        assert got.filters.keys() == want.filters.keys()
+        for eta, f in want.filters.items():
+            assert got.filters[eta].origin == f.origin
+            assert got.filters[eta].data.tobytes() == f.data.tobytes()
+
+
 class TestSmithWithTarget:
     def test_already_diagonal(self):
         fact = aw.smith_with_target(IntMatrix.diagonal([3, 2]), (3, 2))

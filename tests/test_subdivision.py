@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +156,20 @@ class TestConjugation:
         for r in (2, 3):
             assert aw.conjugation_check(bank1, r) <= 1e-12
 
+    def test_composed_branch_bank_refused_before_allocating(self):
+        # theta1 = [[7,-9,-6],[-4,5,3],[-4,5,4]] shears the conjugated
+        # iterate's lag box at r = 2 to 9237 x 5167 x 5264 cells
+        bank = aw.build_bank(IntMatrix.from_rows([[3, -3, 0], [-2, 4, -2], [-2, 4, 0]]),
+                             (3, 2, 2), univariate_sets_from_names(["cl3", "db2", "db2"]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLargeError, match="251237975856 cells"):
+                aw.conjugation_check(bank, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 class TestMultipleLimit:
     def test_empty_word_is_cascade(self, bank0, bank1, op0):
@@ -257,14 +273,45 @@ def similarity_banks(draw):
     return bank
 
 
-@settings(max_examples=40, deadline=None)
-@given(similarity_banks(), st.data())
-def test_tensor_route_matches_kernel(bank, data):
+def draw_render(bank, data):
+    """(eta, r) of a drawn render of the bank within RENDER_CELLS."""
     eta = data.draw(st.sampled_from(bank.indices()))
     r = data.draw(st.integers(1, 5 if bank.dim == 2 else 4))
     assume(render_cells(bank, eta, r) <= RENDER_CELLS)
+    return eta, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(similarity_banks(), st.data())
+def test_tensor_route_matches_kernel(bank, data):
+    eta, r = draw_render(bank, data)
     assert renders_in_frame(bank, eta, r)
     assert_matches_kernel(bank, eta, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(similarity_banks(), st.data())
+def test_tensor_route_is_the_product_of_subdivide_loops(bank, data):
+    # the oracle: each axis a loop of plain 1-D subdivide calls from the
+    # set's trimmed filter, the factors multiplied out by ``tensor``, and
+    # each frame point b written to theta1 b by index arithmetic
+    eta, r = draw_render(bank, data)
+    sf = aw.wavelet_samples(bank, eta, r)
+    factors = []
+    for uset, e in zip(bank.sets, eta):
+        op = SubdivisionOp(IntMatrix.from_rows([[uset.scale]]), uset.trimmed_filters[0])
+        c = uset.trimmed_filters[e]
+        for _ in range(r - 1):
+            c = aw.subdivide(op, c)
+        factors.append(c)
+    t = seqcore.tensor(factors)
+    frame = np.stack(np.meshgrid(*[np.arange(o, o + n) for o, n in zip(t.origin, t.shape)],
+                                 indexing="ij"), axis=-1).reshape(-1, bank.dim)
+    at = frame @ np.array(bank.fact.theta1.entries).T - np.array(sf.window.lo)
+    assert (at >= 0).all() and (at < np.array(sf.window.shape)).all()
+    expect = np.zeros(sf.window.shape)
+    expect[tuple(at.T)] = t.data.reshape(-1)
+    assert sf.values.tobytes() == expect.tobytes()
 
 
 def test_tensor_route_matches_kernel_wide_shear():
@@ -524,6 +571,27 @@ class TestPolyphaseChain:
         assert refused == refused_at(subdivision_loop(start, dilation(2), mask, last - 1))
         assert refused == (3, f"refinement would need {last} cells (cap {last - 1})")
 
+    @pytest.mark.parametrize("name", ["cl3", "db2", "haar"])
+    def test_cell_cap_at_a_step(self, name, monkeypatch):
+        # a cap of exactly step k's cells lets step k run, and step k + 1
+        # is refused with the message of ``_capped_image``
+        (uset,) = univariate_sets_from_names([name])
+        op = SubdivisionOp(dilation(uset.scale), uset.filters[0])
+        levels = [aw.cascade(op, k) for k in range(1, 7)]
+        for k, (level, nxt) in enumerate(zip(levels, levels[1:]), start=1):
+            cap = level.window.cells
+            monkeypatch.setenv("ANISO_CELL_CAP", str(cap))
+            got = aw.cascade(op, k)
+            assert got.window == level.window
+            assert got.values.tobytes() == level.values.tobytes()
+            with pytest.raises(GridTooLargeError) as want:
+                seqcore._capped_image(op.xi, level.window, op.mask.window, cap)
+            with pytest.raises(GridTooLargeError) as refused:
+                aw.cascade(op, k + 1)
+            assert str(refused.value) == str(want.value)
+            assert str(refused.value) == (f"refinement would need {nxt.window.cells} "
+                                          f"cells (cap {cap})")
+
     def test_iterate_is_a_view_of_one_buffer(self):
         # the iterate is a contiguous prefix of the step's (rows, sigma)
         # buffer: the slack past it is under sigma cells
@@ -589,6 +657,37 @@ class TestRenderSetUp:
         assert [t.shape for t in trimmed] == [(6,), (3,), (6,)]
         for t, f in zip(trimmed, uset.filters):
             assert not np.shares_memory(t.data, f.data)
+
+    def test_later_renders_make_no_matrix_product(self, monkeypatch):
+        sets = univariate_sets_from_names(["cl3", "db2"])
+        banks = [aw.build_bank(m, (3, 2), sets) for m in aw.dilation_family(3, 2, 2).matrices]
+        for bank in banks:
+            aw.wavelet_samples(bank, (0, 0), 1)
+        products = []
+        real = IntMatrix.__matmul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        for bank in banks:
+            for eta in bank.indices():
+                for r in (1, 3, 5):
+                    aw.wavelet_samples(bank, eta, r)
+        assert products == []
+
+    def test_frame_facts_are_kept_once_per_bank(self, bank0, bank1):
+        composed = aw.build_bank(IntMatrix.from_rows([[2, 2], [0, 2]]), (2, 2),
+                                 univariate_sets_from_names(["db2", "db2"]))
+        no_sets = dataclasses.replace(bank1, sets=None)
+        for bank, facts in ((bank0, (True, True)), (bank1, (True, False)),
+                            (composed, (False, True)), (no_sets, (False, False))):
+            assert bank.frame == facts and bank.frame is bank.frame
+            assert subdivision._in_frame(bank) is facts[0]
+        # the cache is no field: a fresh copy of the fields compares equal
+        assert dataclasses.replace(bank1) == bank1
+        assert "frame" not in {f.name for f in dataclasses.fields(bank1)}
 
     @pytest.mark.parametrize("r", [0, 1, 2, 5, 7, 40])
     def test_total_dilation_is_the_power(self, r):
