@@ -9,11 +9,18 @@ run in Python integers; ``fractions.Fraction`` appears only in the
 results of ``rational_inverse`` (a ``RatMatrix``) and in the slope
 closed forms (``digit_polynomial``, ``xi_inverse_closed_form``,
 ``contractivity_bound_power``).
+
+Eliminations keep their unimodular transforms as an identity block
+beside the matrix and read the factors off at the end: the Smith
+factors from [[m, I], [I, 0]], integer kernels from one Hermite form
+of [m^T | I], so the similarity branch of ``smith_with_target`` runs no
+Smith normal form.  Every integer matrix product is one ``_times``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,6 +45,11 @@ def _as_int(x) -> int:
     if v != x:
         raise ValueError(f"entry {x!r} is not an integer")
     return v
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two matrices given as row tuples, as row tuples."""
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in zip(*b)]) for row in a])
 
 
 @dataclass(frozen=True)
@@ -76,11 +88,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        return IntMatrix(tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)))
+        return IntMatrix(_times(self.entries, other.entries))
 
     def apply(self, v: Sequence[int]) -> Vec:
         n = self.dim
@@ -119,11 +127,7 @@ class RatMatrix:
 
     def __matmul__(self, other) -> "RatMatrix":
         o = RatMatrix.from_int(other) if isinstance(other, IntMatrix) else other
-        n = self.dim
-        return RatMatrix(tuple(
-            tuple(sum(self.entries[i][k] * o.entries[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)))
+        return RatMatrix(_times(self.entries, o.entries))
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         n = self.dim
@@ -262,46 +266,22 @@ class SmithFactorization:
 def _smith_eliminate(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
     """Diagonalize by unimodular row/column operations.
 
-    Gauss elimination with division by remainder and total pivoting,
-    tracking theta1 and theta2 so that m = theta1 . diag . theta2 at
-    every step.  The returned diagonal is nonnegative with the
-    divisibility chain enforced.
+    Gauss elimination with division by remainder and total pivoting
+    (the smallest nonzero magnitude, first in row-major order) on the
+    augmented matrix [[m, I], [I, 0]]: row operations act on its top n
+    rows and column operations on its left n columns, so the blocks
+    hold a = L m R, L and R throughout (the zero block is not stored).
+    The factors are read off at the end, theta1 = L^-1 and theta2 =
+    R^-1, so that m = theta1 . a . theta2.  The returned diagonal is
+    nonnegative with the divisibility chain enforced.
     """
     n = m.dim
-    a = m.rows()
-    t1 = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    t2 = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    eye = IntMatrix.identity(n).rows()
+    g = [row + e for row, e in zip(m.rows(), eye)] + eye
 
-    # row op  a <- E a  pairs with  t1 <- t1 E^-1  (a column op on t1);
-    # col op  a <- a F  pairs with  t2 <- F^-1 t2  (a row op on t2).
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            t1[r][i], t1[r][j] = t1[r][j], t1[r][i]
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        t2[i], t2[j] = t2[j], t2[i]
-
-    def row_add(i, j, k):  # a[i] += k * a[j]
-        if k == 0:
-            return
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        for r in range(n):
-            t1[r][j] -= k * t1[r][i]
-
-    def col_add(i, j, k):  # a[:,i] += k * a[:,j]
-        if k == 0:
-            return
-        for r in range(n):
-            a[r][i] += k * a[r][j]
-        t2[j] = [x - k * y for x, y in zip(t2[j], t2[i])]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        for r in range(n):
-            t1[r][i] = -t1[r][i]
+    def col_add(i, j, k):  # g[:, i] += k * g[:, j]
+        for row in g:
+            row[i] += k * row[j]
 
     def reduce_at(k):
         while True:
@@ -309,25 +289,24 @@ def _smith_eliminate(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
             best = None
             for i in range(k, n):
                 for j in range(k, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    if g[i][j] != 0 and (best is None or abs(g[i][j]) < abs(g[best[0]][best[1]])):
                         best = (i, j)
             if best is None:
                 return
-            if best[0] != k:
-                row_swap(k, best[0])
-            if best[1] != k:
-                col_swap(k, best[1])
+            i, j = best
+            g[k], g[i] = g[i], g[k]
+            for row in g:
+                row[k], row[j] = row[j], row[k]
             clean = True
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    row_add(i, k, -(a[i][k] // a[k][k]))
-                    if a[i][k] != 0:
-                        clean = False
+                if g[i][k] != 0:
+                    q = g[i][k] // g[k][k]
+                    g[i] = [x - q * y for x, y in zip(g[i], g[k])]
+                    clean = clean and g[i][k] == 0
             for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    col_add(j, k, -(a[k][j] // a[k][k]))
-                    if a[k][j] != 0:
-                        clean = False
+                if g[k][j] != 0:
+                    col_add(j, k, -(g[k][j] // g[k][k]))
+                    clean = clean and g[k][j] == 0
             if clean:
                 return
 
@@ -335,22 +314,24 @@ def _smith_eliminate(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
         reduce_at(k)
 
     for i in range(n):
-        if a[i][i] < 0:
-            row_negate(i)
+        if g[i][i] < 0:
+            g[i] = [-x for x in g[i]]
 
     # enforce the divisibility chain d_i | d_j for i < j
     for i in range(n):
         for j in range(i + 1, n):
-            di, dj = a[i][i], a[j][j]
+            di, dj = g[i][i], g[j][j]
             if di != 0 and dj % di == 0:
                 continue
             col_add(i, j, 1)          # brings d_j into column i
             reduce_at(i)              # gcd lands at (i,i)
             for r in range(i, n):
-                if a[r][r] < 0:
-                    row_negate(r)
+                if g[r][r] < 0:
+                    g[r] = [-x for x in g[r]]
 
-    return (IntMatrix.from_rows(t1), [a[i][i] for i in range(n)], IntMatrix.from_rows(t2))
+    left = IntMatrix(tuple(tuple(row[n:]) for row in g[:n]))
+    right = IntMatrix(tuple(map(tuple, g[n:])))
+    return inverse_unimodular(left), [g[i][i] for i in range(n)], inverse_unimodular(right)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithFactorization:
@@ -403,12 +384,17 @@ def _row_hermite(rows: list[list[int]]) -> list[Vec]:
 
 
 def _kernel_basis(m: IntMatrix) -> list[Vec]:
-    """Canonical basis of the saturated integer kernel lattice of m."""
-    fact = smith_normal_form(m)
-    inv2 = inverse_unimodular(fact.theta2)
-    cols = [j for j, s in enumerate(fact.sigma) if s == 0]
-    raw = [[inv2.entries[i][j] for i in range(m.dim)] for j in cols]
-    return _row_hermite(raw) if raw else []
+    """Canonical basis of the saturated integer kernel lattice of m.
+
+    One Hermite form of [m^T | I]: row i is column i of m followed by
+    e_i, so every row of the form is (m x, x) for an integer x, and the
+    rows whose first n entries vanish end in a basis of the kernel, in
+    its own Hermite form (Cohen 1993, section 2.4).
+    """
+    n = m.dim
+    rows = [[m.entries[k][i] for k in range(n)] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    return [row[n:] for row in _row_hermite(rows) if not any(row[:n])]
 
 
 def _similarity_transform(m: IntMatrix, target: Sequence[int]) -> IntMatrix | None:
@@ -450,7 +436,9 @@ def smith_with_target(m: IntMatrix, target: Sequence[int]) -> SmithFactorization
     Requires diag(target) to have the same normal form as m.  A matrix
     that already equals diag(target) gets identity factors; a matrix
     integrally similar to diag(target) gets the similarity pair
-    (theta2 = theta1^-1); otherwise the two normal forms are composed.
+    (theta2 = theta1^-1), its columns integer eigenvectors read off
+    Hermite forms (``_kernel_basis``) with no Smith normal form;
+    otherwise the two normal forms are composed.
     """
     target = tuple(_as_int(t) for t in target)
     if len(target) != m.dim:

@@ -37,7 +37,7 @@ from .errors import (
     OutOfSimplexError,
     WindowTooSmallError,
 )
-from .lattice import DilationFamily, dilation_family
+from .lattice import DilationFamily, digit_polynomial, dilation_family
 from .seqcore import (
     CoefSeq,
     Window,
@@ -320,29 +320,20 @@ def _distsq(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
-def _slope_value(family: DilationFamily, eps: Sequence[int],
-                 u: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Apply the contraction word to u; the last digit acts first."""
-    x = family.ratio
-    val = list(u)
-    for d in reversed(tuple(eps)):
-        if not 0 <= d < family.dim:
-            raise BadDigitError(f"digit {d} outside range(0, {family.dim})")
-        shift = (1 - x) if d > 0 else Fraction(0)
-        val = [x * v + (shift if i == d - 1 else 0) for i, v in enumerate(val)]
-    return tuple(val)
-
-
 def slope_error(family: DilationFamily, eps: Sequence[int],
                 w: Sequence, w2: Sequence) -> float:
     """Euclidean gap between the steered reference slope and the target.
 
-    Computed through the closed-form contraction word, which agrees
-    exactly with sigma2^n . xi_product(eps)^-1 applied to (w, 1).
+    The steered slope of a word of n digits is x^n u plus the digit
+    polynomial (``lattice.digit_polynomial``, unsigned), x = sigma2 /
+    sigma1 and u the unsigned reference slope; it agrees exactly with
+    sigma2^n . xi_product(eps)^-1 applied to (w, 1).
     """
     u = _unsigned(family, w)
     u2 = _unsigned(family, w2)
-    return math.sqrt(float(_distsq(_slope_value(family, eps, u), u2)))
+    offset = _unsigned(family, digit_polynomial(family, eps))
+    scale = family.ratio ** len(eps)
+    return math.sqrt(float(_distsq([scale * v + o for v, o in zip(u, offset)], u2)))
 
 
 def _exact_text(q: Fraction) -> str:

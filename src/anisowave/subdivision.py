@@ -27,19 +27,19 @@ more cells.
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .dictionary import AnisoFilterBank
+from .dictionary import AnisoFilterBank, _points_box, _pull_back
 from .errors import BadDigitError, GridMismatchError
-from .lattice import IntMatrix, determinant, inverse_unimodular
+from .lattice import IntMatrix, _times, determinant, inverse_unimodular
 from .seqcore import (
     CoefSeq,
     Window,
+    _box_shape,
     _capped_image,
     _chain,
     _check_dilation,
@@ -132,10 +132,6 @@ def _matrix_power(m: IntMatrix, r: int) -> IntMatrix:
         r >>= 1
         square = _times(square, square) if r else square
     return IntMatrix.identity(m.dim) if power is None else IntMatrix(power)
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    return tuple([tuple([sum(map(operator.mul, row, col)) for col in zip(*b)]) for row in a])
 
 
 def _as_sampled(c: CoefSeq, level: int, xi_total: IntMatrix) -> SampledFunction:
@@ -261,26 +257,31 @@ def conjugation_check(bank: AnisoFilterBank, r: int) -> float:
     diag(sigma) . theta2 . theta1, mapped back through theta1.  The two
     sides agree exactly in exact arithmetic, so the return value is
     floating-point noise for a correctly built bank.  The comparison
-    covers both supports.  Every grid (the lag box of h = lowpass(theta1 .),
-    the chain from h's taps theta1^-1 beta, and the lag box theta1 R of
-    its last iterate) is sized before any is built, against the cap.
+    covers both supports.  The conjugated mask h = lowpass(theta1 .) is
+    built from the lowpass's taps pulled back to theta1^-1 beta
+    (``dictionary._pull_back``), over the box of those points alone:
+    the taps, box and values of ``reindex(lowpass, theta1)``, without
+    its lag box.  That box is the grid of the chain's first step; the
+    chain from h and the lag box theta1 R of its last iterate are sized
+    before anything is built, against the cap.
     """
     if r < 0:
         raise ValueError("level must be >= 0")
     cap = _cell_cap()
     theta1 = bank.fact.theta1
-    theta1_inv = inverse_unimodular(theta1)
     sigma_lam = IntMatrix.diagonal(bank.fact.sigma) @ bank.fact.theta2 @ theta1
+    positions, weights = _taps(bank.lowpass.origin, bank.lowpass.data)
+    points = _pull_back(bank.fact, positions)
     box = zero = ((0,) * bank.dim,) * 2
-    _capped_image(theta1_inv, _seq_box(bank.lowpass), zero, cap)
-    taps = _taps(bank.lowpass.origin, bank.lowpass.data)[0] @ np.array(theta1_inv.entries).T
-    hull = (tuple(taps.min(0).tolist()), tuple(taps.max(0).tolist())) if len(taps) else zero
+    hull = _points_box(points)
     for _ in range(r):
         box = _capped_image(sigma_lam, box, hull, cap)
     _capped_image(theta1, box, zero, cap)
+    h = np.zeros(_box_shape(hull))
+    h[tuple((points - hull[0]).T)] = weights
     lhs = _refine(delta(bank.dim), bank.xi, bank.lowpass, r, cap)
-    rhs = _refine(delta(bank.dim), sigma_lam, reindex(bank.lowpass, theta1), r, cap)
-    return max_abs_diff(lhs, reindex(rhs, theta1_inv))
+    rhs = _refine(delta(bank.dim), sigma_lam, CoefSeq(hull[0], h), r, cap)
+    return max_abs_diff(lhs, reindex(rhs, inverse_unimodular(theta1)))
 
 
 def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],

@@ -20,9 +20,10 @@ from anisowave.lattice import (
     SmithFactorization,
     contractivity_bound_power,
 )
-from anisowave.mmra import _slope_value, _unsigned
+from anisowave.mmra import _unsigned
 from anisowave.seqcore import CoefSeq, Window, max_abs_diff
 from anisowave.subdivision import SubdivisionOp
+from lattice_oracle import contraction_word
 
 XI0 = IntMatrix.diagonal([3, 2])
 XI1 = IntMatrix.from_rows([[3, -1], [0, 2]])
@@ -156,7 +157,7 @@ def test_criterion_8_slope_resolution(family):
     best_sq = None
     for n in range(1, 13):
         level_best = min(
-            sum((a - b) ** 2 for a, b in zip(_slope_value(family, eps, u), u2))
+            sum((a - b) ** 2 for a, b in zip(contraction_word(family, eps, u), u2))
             for eps in itertools.product(range(2), repeat=n))
         if level_best < delta * delta:
             best_sq = level_best

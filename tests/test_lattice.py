@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import anisowave as aw
@@ -21,10 +24,12 @@ from anisowave.lattice import (
     RatMatrix,
     SmithFactorization,
     _integer_inverse,
+    _kernel_basis,
     contractivity_bound_power,
     digit_polynomial,
     rational_inverse,
 )
+from lattice_oracle import snf_kernel_basis
 
 XI1 = IntMatrix.from_rows([[3, -1], [0, 2]])
 
@@ -335,6 +340,70 @@ class TestSmithWithTarget:
         fact = aw.smith_with_target(fam.matrices[2], (4, 4, 2))
         assert fact.reconstruct() == fam.matrices[2]
         assert fact.theta1 == aw.inverse_unimodular(fam.shears[2])
+
+    def test_target_past_a_failing_kernel_normal_form(self):
+        # the kernel of m - 2I was read off a Smith normal form whose
+        # reconstruction fails, so this raised AssertionError; the
+        # eigenvectors are not unimodular, so the normal forms compose
+        m = IntMatrix.from_rows([[-44, 28, -18], [0, 6, 0], [120, -68, 49]])
+        fact = aw.smith_with_target(m, (1, 2, 12))
+        assert fact.sigma == (1, 2, 12)
+        assert fact.reconstruct() == m
+
+
+#: exact factors of the library before its eliminations carried identity blocks
+CORPUS = json.loads((Path(__file__).parent / "data" / "smith_corpus.json").read_text())
+
+
+def as_json(fact):
+    return {"theta1": fact.theta1.rows(), "sigma": list(fact.sigma),
+            "theta2": fact.theta2.rows()}
+
+
+@pytest.mark.parametrize("case", CORPUS["cases"],
+                         ids=lambda c: f"{c['source']}:{c['m']}")
+def test_factors_match_corpus(case):
+    m = IntMatrix.from_rows(case["m"])
+    assert as_json(aw.smith_normal_form(m)) == case["snf"]
+    for entry in case["targets"]:
+        assert as_json(aw.smith_with_target(m, entry["target"])) == entry["fact"]
+
+
+def test_corpus_covers_its_sources():
+    sources = Counter(c["source"] for c in CORPUS["cases"])
+    assert sources["design"] == 59 and sources["ci"] == 5 and sources["random"] == 100
+    assert sum(0 in c["snf"]["sigma"] for c in CORPUS["cases"]) > 10
+
+
+@st.composite
+def kernel_problems(draw):
+    """m - t I for m = U diag(d) U^-1 and t drawn from d, or a singular m."""
+    s = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        u = draw(unimodular_products().filter(lambda u: u.dim == s))
+        d = draw(st.lists(st.integers(-4, 6), min_size=s, max_size=s))
+        m = u @ IntMatrix.diagonal(d) @ aw.inverse_unimodular(u)
+        t = draw(st.sampled_from(d))
+        return IntMatrix.from_rows([[x - (t if i == j else 0) for j, x in enumerate(row)]
+                                    for i, row in enumerate(m.entries)])
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=s, max_size=s),
+                         min_size=s, max_size=s))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=s, max_size=s))
+    # one row a combination of the others: singular (or zero)
+    rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows[:-1])) for j in range(s)]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_problems())
+def test_kernel_basis_matches_snf_route(m):
+    try:
+        expect = snf_kernel_basis(m)
+    except AssertionError:  # the oracle's Smith reconstruction failed
+        assume(False)
+    basis = _kernel_basis(m)
+    assert basis == expect
+    assert all(m.apply(v) == (0,) * m.dim for v in basis)
 
 
 def reference_cosets(xi):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import anisowave as aw
 from anisowave.errors import (
+    BadDigitError,
     BadIndexError,
     DepthZeroError,
     DimMismatchError,
@@ -20,9 +21,10 @@ from anisowave.errors import (
     WindowTooSmallError,
 )
 from anisowave.dictionary import _core_lags
-from anisowave.lattice import IntMatrix
-from anisowave.mmra import _distsq, _exact_text, _slope_value, _unsigned
+from anisowave.lattice import IntMatrix, rational_inverse
+from anisowave.mmra import _distsq, _exact_text, _unsigned
 from anisowave.seqcore import CoefSeq, Window, _lag_box, max_abs_diff
+from lattice_oracle import contraction_word
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +332,7 @@ class TestSlopeError:
                 inv = aw.xi_inverse_closed_form(family, eps)
                 vec = inv.apply((w[0], 1))
                 scaled = tuple(Fraction(2) ** n * v for v in vec)
-                hval = _slope_value(family, eps, _unsigned(family, w))
+                hval = contraction_word(family, eps, _unsigned(family, w))
                 assert scaled == (hval[0], 1)
 
     def test_closed_form_agrees_with_product_route(self, family):
@@ -342,6 +344,30 @@ class TestSlopeError:
             alt = float(abs(Fraction(2) ** 5 * vec[0] - w2[0]))
             assert direct == pytest.approx(alt, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_inverse_of_the_product(self, data):
+        # oracle: v = sigma2^n xi_product(eps)^-1 (w, 1), whose last entry
+        # is 1 and whose first s - 1 entries, unsigned, are the steered slope
+        s = data.draw(st.sampled_from((2, 3)))
+        sigma1, sigma2 = data.draw(st.sampled_from(SLOPE_SCALES))
+        signs = data.draw(st.lists(st.integers(0, 1), min_size=s - 1, max_size=s - 1))
+        family = aw.dilation_family(sigma1, sigma2, s, signs)
+        eps = data.draw(st.lists(st.integers(0, s - 1), max_size=8))
+        slope = st.fractions(-2, 2, max_denominator=1000)
+        w, w2 = (tuple(data.draw(st.lists(slope, min_size=s - 1, max_size=s - 1)))
+                 for _ in range(2))
+        inv = rational_inverse(aw.xi_product(family, eps))
+        v = [sigma2 ** len(eps) * x for x in inv.apply(w + (1,))]
+        assert v[-1] == 1
+        steered = _unsigned(family, v[:-1])
+        expect = math.sqrt(float(_distsq(steered, _unsigned(family, w2))))
+        assert aw.slope_error(family, eps, w, w2) == expect
+
+    def test_digit_out_of_range(self, family):
+        with pytest.raises(BadDigitError, match=r"digit 2 outside range\(0, 2\)"):
+            aw.slope_error(family, (0, 2, 1), (0,), (0,))
+
 
 def brute_force_first_reaching(family, w, w2, delta, n_max):
     """Oracle: shortest length at which any digit word beats delta."""
@@ -352,7 +378,7 @@ def brute_force_first_reaching(family, w, w2, delta, n_max):
         best = None
         for eps in itertools.product(range(family.dim), repeat=n):
             err = sum((a - b) ** 2
-                      for a, b in zip(_slope_value(family, eps, u), u2))
+                      for a, b in zip(contraction_word(family, eps, u), u2))
             if best is None or err < best:
                 best = err
         if best < delta_sq:
@@ -386,7 +412,7 @@ def check_against_replay(family, w, w2, delta, out):
     u, u2 = _unsigned(family, w), _unsigned(family, w2)
 
     def gap_sq(eps):
-        return _distsq(_slope_value(family, eps, u), u2)
+        return _distsq(contraction_word(family, eps, u), u2)
 
     assert out.n == len(out.eps)
     assert gap_sq(out.eps) < delta ** 2

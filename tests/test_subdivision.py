@@ -21,6 +21,7 @@ from anisowave.seqcore import (
     _loops_mask,
     max_abs_diff,
     polyphase_subdivision,
+    reindex,
 )
 from anisowave.subdivision import SubdivisionOp, _matrix_power
 from test_random_dilations import unimodular
@@ -170,6 +171,20 @@ class TestConjugation:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_composed_branch_bank_at_level_one(self):
+        # h = lowpass(theta1 .) has 96 taps; built by reindexing, it took
+        # the 806 x 638 x 92 lag box of theta1^-1 applied to the lowpass's box
+        bank = aw.build_bank(IntMatrix.from_rows([[3, -3, 0], [-2, 4, -2], [-2, 4, 0]]),
+                             (3, 2, 2), univariate_sets_from_names(["cl3", "db2", "db2"]))
+        tracemalloc.start()
+        try:
+            gap = aw.conjugation_check(bank, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap <= 1e-12
+        assert peak < 64 * 2 ** 20
+
 
 class TestMultipleLimit:
     def test_empty_word_is_cascade(self, bank0, bank1, op0):
@@ -271,6 +286,21 @@ def similarity_banks(draw):
     bank = aw.build_bank(xi, sigma, univariate_sets_from_names(SIMILAR[sigma]))
     assume(subdivision._in_frame(bank))
     return bank
+
+
+def reindexed_conjugation_gap(bank, r):
+    """The oracle: conjugation_check with h = reindex(lowpass, theta1)."""
+    theta1 = bank.fact.theta1
+    sigma_lam = IntMatrix.diagonal(bank.fact.sigma) @ bank.fact.theta2 @ theta1
+    lhs = aw.cascade(SubdivisionOp(bank.xi, bank.lowpass), r).as_seq()
+    rhs = aw.cascade(SubdivisionOp(sigma_lam, reindex(bank.lowpass, theta1)), r).as_seq()
+    return max_abs_diff(lhs, reindex(rhs, inverse_unimodular(theta1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(similarity_banks(), st.integers(0, 3))
+def test_conjugation_check_equals_reindexed_mask(bank, r):
+    assert aw.conjugation_check(bank, r) == reindexed_conjugation_gap(bank, r)
 
 
 def draw_render(bank, data):
