@@ -310,24 +310,27 @@ def _smith_eliminate(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
             if clean:
                 return
 
+    def fix_signs(start):
+        for r in range(start, n):
+            if g[r][r] < 0:
+                g[r] = [-x for x in g[r]]
+
     for k in range(n):
         reduce_at(k)
-
-    for i in range(n):
-        if g[i][i] < 0:
-            g[i] = [-x for x in g[i]]
-
-    # enforce the divisibility chain d_i | d_j for i < j
-    for i in range(n):
-        for j in range(i + 1, n):
-            di, dj = g[i][i], g[j][j]
-            if di != 0 and dj % di == 0:
-                continue
-            col_add(i, j, 1)          # brings d_j into column i
-            reduce_at(i)              # gcd lands at (i,i)
-            for r in range(i, n):
-                if g[r][r] < 0:
-                    g[r] = [-x for x in g[r]]
+    fix_signs(0)
+    # Repair the first pair i < j with d_i not dividing d_j until none is
+    # left.  A repair lowers d_i (reduce_at(i) pivots on at most d_i, then
+    # on d_j mod d_i if that is nonzero), and work past i keeps all entries
+    # there multiples of d_0 .. d_(i-1), so no earlier pair breaks again.
+    while pair := next(((i, j) for i in range(n) for j in range(i + 1, n)
+                        if (g[j][j] % g[i][i] if g[i][i] else g[j][j])), None):
+        i, j = pair
+        col_add(i, j, 1)          # brings d_j into column i
+        reduce_at(i)
+        if any(g[r][c] for r in range(i + 1, n) for c in range(i + 1, n) if r != c):
+            for k in range(i + 1, n):
+                reduce_at(k)
+        fix_signs(i)
 
     left = IntMatrix(tuple(tuple(row[n:]) for row in g[:n]))
     right = IntMatrix(tuple(map(tuple, g[n:])))
@@ -337,9 +340,9 @@ def _smith_eliminate(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
 def smith_normal_form(m: IntMatrix) -> SmithFactorization:
     """Smith factorization whose diagonal is the canonical normal form.
 
-    The diagonal equals the quotients of successive determinantal
-    divisors (gcds of all j x j minors), nonnegative, each value
-    dividing the next; zero values (singular input) trail.
+    For every input the diagonal is the quotients of successive
+    determinantal divisors (gcds of all j x j minors): nonnegative, each
+    value dividing the next, zero values (singular input) trailing.
     """
     t1, diag, t2 = _smith_eliminate(m)
     fact = SmithFactorization(t1, tuple(diag), t2)

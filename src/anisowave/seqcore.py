@@ -20,26 +20,27 @@ filter) pair into one output in one call.  Like a polyphase filterbank,
 a call works per tap for all of its operands at once: analysis gathers
 the view of each tap of the filters' union once and takes every
 filter's lags from that one stack, and subdivision combines all parts
-at each tap of the masks' union with one dot product and adds them into
+at each tap of the masks' union with one product and adds them into
 the output with one strided add.  Every multiply-add pairs a tap with a
 sample on the coarse lattice: nothing is computed and then thrown away,
 and no upsampled grid of zeros is built.  The public operations are
-special cases with one operand, which take the per-filter path without
-the union: ``convolve`` is subdivision with xi = I, ``upsample`` is
-subdivision with the pulse as mask, and ``downsample`` and ``reindex``
-are analysis with the pulse as the only filter.  The box of a step is
-computed here only, on plain (lo, hi) tuples; a ``Window`` unpacks as
-one, so other modules call the box helpers directly.  Padding, point
-reads and strided writes have one routine each: ``_stacked``, ``_read``
-and ``_shifted_views``.  Only numpy is needed.
+special cases with one operand: ``convolve`` is subdivision with
+xi = I, ``upsample`` is subdivision with the pulse as mask, and
+``downsample`` and ``reindex`` are analysis with the pulse as the only
+filter.  The box of a step is computed here only, on plain (lo, hi)
+tuples; a ``Window`` unpacks as one, so other modules call the box
+helpers directly.  Padding, point reads, strided views and strided adds
+have one routine each: ``_stacked``, ``_read``, ``_shifted_views`` and
+``_add_taps``.  Only numpy is needed.
 
 Iterating one scheme (a cascade, a render, a diagnostic) is a refinement
 chain: ``_chain`` yields the successive iterates of one (xi, mask) pair,
 splits the mask's taps once for the whole chain, walks each step's box
 in Python integers and refuses a step over the cell cap before it
-allocates.  A step of the chain and a one-pair ``polyphase_subdivision``
-call pick their route by one rule (``_loops_mask``) and run one
-strided-add loop (``_spread``).  The one exception is a chain step over
+allocates.  Every subdivision pair, in a chain step or in a
+``polyphase_subdivision`` call, picks its route by one rule
+(``_loops_mask``), and every add runs one strided-add loop
+(``_add_taps``).  The one exception is a chain step over
 the mask in one dimension with xi = sigma >= 2: it adds one row of the
 mask's polyphase matrix per coarse shift (``_phase_step``; Daubechies,
 *Ten Lectures on Wavelets*; Vaidyanathan, *Multirate Systems and Filter
@@ -197,9 +198,11 @@ def delta(s: int) -> CoefSeq:
     return CoefSeq((0,) * s, data)
 
 
-def _check_dims(a: CoefSeq, b: CoefSeq):
+def _check_dims(a: CoefSeq, b: CoefSeq, xi: IntMatrix | None = None):
     if a.dim != b.dim:
         raise DimMismatchError(f"dimensions {a.dim} and {b.dim} differ")
+    if xi is not None and xi.dim != a.dim:
+        raise DimMismatchError(f"matrix dim {xi.dim} != sequence dim {a.dim}")
 
 
 def convolve(a: CoefSeq, b: CoefSeq) -> CoefSeq:
@@ -309,8 +312,7 @@ def _shifted_views(arr: np.ndarray, lo: Sequence[int], m: IntMatrix,
 
 
 def _check_dilation(c: CoefSeq, xi: IntMatrix):
-    if xi.dim != c.dim:
-        raise DimMismatchError(f"matrix dim {xi.dim} != sequence dim {c.dim}")
+    _check_dims(c, c, xi)
     if determinant(xi) == 0:
         raise SingularMatrixError("dilation matrix is singular")
 
@@ -329,8 +331,7 @@ def upsample(c: CoefSeq, xi: IntMatrix) -> CoefSeq:
 
 def reindex(c: CoefSeq, theta: IntMatrix) -> CoefSeq:
     """Unimodular change of variables: result(alpha) = c(theta alpha)."""
-    if theta.dim != c.dim:
-        raise DimMismatchError(f"matrix dim {theta.dim} != sequence dim {c.dim}")
+    _check_dims(c, c, theta)
     if not is_unimodular(theta):
         raise NotUnimodularError("reindexing requires a unimodular matrix")
     return polyphase_analysis(c, theta, [delta(c.dim)])[0]
@@ -373,14 +374,11 @@ def _union_taps(seqs: Sequence[CoefSeq], hull: Box) -> tuple[np.ndarray, np.ndar
     positions[k] runs over the union of the sequences' nonzero taps
     within their hull, in lexicographic order, and weights[j, k] is
     seqs[j]'s value there (zero where only other sequences have a tap).
-    One sequence takes ``_taps`` directly: no hull array is built.
+    For one sequence these are ``_taps``'s positions and weights.
     """
-    if len(seqs) == 1:
-        positions, weights = _taps(seqs[0].origin, seqs[0].data)
-        return positions, weights[None]
     dense = _stacked([(f.origin, f.data) for f in seqs], hull)
     nz = (dense != 0).any(axis=0)
-    # C order keeps each weight row contiguous, as ``_taps`` gives it
+    # C order keeps each weight row contiguous
     weights = np.ascontiguousarray(dense[:, nz])
     return np.argwhere(nz) + np.asarray(hull[0], dtype=np.int64), weights
 
@@ -429,6 +427,8 @@ def polyphase_analysis(c: CoefSeq, xi: IntMatrix,
     points alone: a shear never pads c to the image of the lag box.
     This is ``_analysis`` of c's array with no channel axis.
     """
+    for f in filters:
+        _check_dims(c, f, xi)
     return _trimmed(*_analysis(c.origin, c.data, xi, filters))
 
 
@@ -566,52 +566,39 @@ def polyphase_subdivision(parts: Sequence[CoefSeq], xi: IntMatrix,
     out(beta) = sum_alpha mask(beta - xi alpha) c(alpha), so
     out(xi gamma + rho) = (m_rho * c)(gamma): each mask tap
     beta = xi nu + rho adds beta's weight times c into the strided view
-    of the output at xi alpha + beta, which lies in coset rho.  For each
-    pair the loop runs over the operand with fewer nonzeros: when c has
-    fewer than the mask (a few samples spread by a large dilation), each
-    nonzero c(alpha) adds a scaled copy of the mask at xi alpha instead.
-    When several pairs loop over mask taps, they share the loop: per
-    tap of the union of their masks, one dot product combines all of
-    their parts (embedded in the parts' hull) into a scratch buffer,
-    and one strided add writes it.  The output is the sum over the hull
-    of the pairs' boxes (xi applied to c's window, widened by the mask
-    window), untrimmed.
+    of the output at xi alpha + beta, which lies in coset rho.  A sparse
+    pair, whose c has fewer nonzeros than its mask has taps
+    (``_loops_mask``), adds instead the mask scaled by c(alpha) at
+    xi alpha, in pair order and first.  The other pairs are one dense
+    group: per tap of the union of their masks, one product combines
+    their parts (embedded in the parts' hull) and one strided add writes
+    it (``_add_taps``).  The output is the sum over the hull of the
+    pairs' boxes (xi applied to c's window, widened by the mask window),
+    untrimmed.
     """
     boxes = []
     for c, mask in zip(parts, masks, strict=True):
-        _check_dims(c, mask)
+        _check_dims(c, mask, xi)
         boxes.append(_image_box(xi, _seq_box(c), _seq_box(mask)))
     if not boxes:
         raise ValueError("no components to subdivide")
     box = out_box = _box_hull(boxes)
-    by_mask = [_loops_mask(c.data, np.count_nonzero(mask.data))
-               for c, mask in zip(parts, masks)]
-    shared = sum(by_mask) > 1
-    if shared:
-        group = [k for k, flag in enumerate(by_mask) if flag]
-        part_hull = _box_hull(_seq_box(parts[k]) for k in group)
-        mask_hull = _box_hull(_seq_box(masks[k]) for k in group)
+    group = [k for k, (c, mask) in enumerate(zip(parts, masks))
+             if _loops_mask(c.data, np.count_nonzero(mask.data))]
+    if group:
+        part_hull, mask_hull = (_box_hull(_seq_box(seqs[k]) for k in group)
+                                for seqs in (parts, masks))
         # the parts' hull can reach cells outside every pair's box; those
         # receive only zeros and are cut off below
         out_box = _box_hull((box, _image_box(xi, part_hull, mask_hull)))
     out = np.zeros(_box_shape(out_box))
-    for c, mask, flag in zip(parts, masks, by_mask):
-        if not (flag and shared):
-            _spread(out, out_box[0], xi, c.origin, c.data, mask,
-                    _taps(mask.origin, mask.data) if flag else None)
-    if shared:
-        shifts, weights = _union_taps([masks[k] for k in group], mask_hull)
-        shape = _box_shape(part_hull)
-        layers = _stacked([(parts[k].origin, parts[k].data) for k in group],
-                          part_hull).reshape(len(group), -1)
-        if len(shifts):
-            view, rows = _shifted_views(out, out_box[0], xi, part_hull[0], shape, shifts)
-            scratch = np.empty(layers.shape[1])
-            spread = scratch.reshape(shape)
-            for row, w in zip(rows, np.ascontiguousarray(weights.T)):
-                np.dot(w, layers, out=scratch)
-                target = view[row]
-                target += spread
+    for k, (c, mask) in enumerate(zip(parts, masks)):
+        if k not in group:
+            _spread(out, out_box[0], xi, c.origin, c.data, mask, None)
+    if group:
+        layers = _stacked([(parts[k].origin, parts[k].data) for k in group], part_hull)
+        _add_taps(out, out_box[0], xi, part_hull[0], layers,
+                  *_union_taps([masks[k] for k in group], mask_hull))
     if out_box != box:
         out = out[tuple(slice(l - o, h - o + 1)
                         for l, h, o in zip(*box, out_box[0]))]
@@ -627,27 +614,40 @@ def _loops_mask(data: np.ndarray, mask_taps: int) -> bool:
 def _spread(out: np.ndarray, out_lo: Vec, xi: IntMatrix, origin: Vec,
             data: np.ndarray, mask: CoefSeq,
             taps: tuple[np.ndarray, np.ndarray] | None):
-    """Add one pair's subdivision into out, over the box at out_lo, by the
-    route ``_loops_mask`` picks.
-
-    Given the mask's taps (shifts, weights), each tap beta adds its weight
-    times data into the strided view of out at xi alpha + beta.  Given
-    None, each nonzero cell alpha of data adds the mask, scaled by that
-    cell's value, into the view at xi alpha.
-    """
-    if taps is not None:
-        shifts, weights = taps
-        src_lo, src, step = origin, data, xi
-    else:
+    """Add one pair's subdivision into out (over the box at out_lo) by
+    ``_loops_mask``'s route, as ``_add_taps`` of data at the mask's taps
+    (shifts, weights), or given None, of the mask at m = I, shifts
+    xi alpha and weights data(alpha) for the nonzero cells alpha."""
+    if taps is None:
         positions, weights = _taps(origin, data)
-        shifts = positions @ np.asarray(xi.entries, dtype=np.int64).T
-        src_lo, src, step = mask.origin, mask.data, IntMatrix.identity(xi.dim)
-    if len(weights):
-        view, rows = _shifted_views(out, out_lo, step, src_lo, src.shape, shifts)
-        scaled = np.empty(view.shape[1:])
-        for row, w in zip(rows.tolist(), weights):
-            target = view[row]
-            target += np.multiply(src, w, out=scaled)
+        taps = positions @ np.asarray(xi.entries, dtype=np.int64).T, weights
+        origin, data, xi = mask.origin, mask.data, IntMatrix.identity(xi.dim)
+    _add_taps(out, out_lo, xi, origin, data[None], taps[0], taps[1][None])
+
+
+def _add_taps(out: np.ndarray, out_lo: Vec, m: IntMatrix, lo: Vec,
+              layers: np.ndarray, shifts: np.ndarray, weights: np.ndarray):
+    """Add weights[:, k] . layers into out at m (lo + i) + shifts[k], each tap k.
+
+    layers stacks arrays over the box at lo; out lies over the box at
+    out_lo and holds every point reached.  Per tap, one layer is scaled
+    (``np.multiply``) and several are combined (``np.dot``) into one
+    scratch buffer, which one strided add writes.
+    """
+    if not len(shifts):
+        return
+    shape = layers.shape[1:]
+    view, rows = _shifted_views(out, out_lo, m, lo, shape, shifts)
+    scaled = np.empty(shape)
+    if len(layers) == 1:
+        product, operand, weights, buffer = np.multiply, layers[0], weights[0], scaled
+    else:
+        product, operand, buffer = np.dot, layers.reshape(len(layers), -1), scaled.reshape(-1)
+        weights = np.ascontiguousarray(weights.T)
+    for row, w in zip(rows.tolist(), weights):
+        product(w, operand, out=buffer)
+        target = view[row]
+        target += scaled
 
 
 def _capped_image(xi: IntMatrix, window: Box, hull: Box, cap: int) -> Box:

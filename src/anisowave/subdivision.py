@@ -176,7 +176,7 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     c = bank.filter_at(eta)
     cap = _cell_cap()
     total = _matrix_power(bank.xi, r)
-    if _in_frame(bank):
+    if bank.frame[0]:
         box = _seq_box(c)
         hull = _seq_box(bank.lowpass)
         for _ in range(r - 1):
@@ -186,12 +186,6 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
         if values is not None:
             return SampledFunction(r, total, window, values)
     return _as_sampled(_refine(c, bank.xi, bank.lowpass, r - 1, cap), r, total)
-
-
-def _in_frame(bank: AnisoFilterBank) -> bool:
-    """Whether ``wavelet_samples`` renders the bank as a tensor product: it knows
-    its sets and its factorization is a similarity (``AnisoFilterBank.frame``)."""
-    return bank.frame[0]
 
 
 def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
@@ -331,7 +325,10 @@ def gram_check(f: SampledFunction, g: SampledFunction,
     """Riemann-sum approximation of the inner product <f, g(. - shift)>.
 
     Both inputs must live on the same total-dilation grid; the cell
-    volume 1/|det xi_total| weights the sum.
+    volume 1/|det xi_total| weights the sum.  A sum of samples is no
+    certificate: a bank whose samples do not converge to its limit can
+    read orthonormal when it is not (the stretched Haar set (1, 0, 0, 1)
+    tensored with cl3 reads <phi, phi> = 1.0; the exact value is 1/3).
     """
     if f.xi_total != g.xi_total:
         raise GridMismatchError("sampled functions live on different grids")

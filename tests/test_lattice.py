@@ -248,20 +248,32 @@ class TestSmithNormalForm:
                         assert fact.sigma[i + 1] % fact.sigma[i] == 0
 
     @settings(max_examples=150, deadline=None)
-    @given(small_matrices(2))
+    @given(st.integers(1, 4).flatmap(small_matrices))
     def test_reconstruction_and_divisibility(self, m):
         fact = aw.smith_normal_form(m)
         assert fact.reconstruct() == m
         assert aw.is_unimodular(fact.theta1) and aw.is_unimodular(fact.theta2)
         assert all(s >= 0 for s in fact.sigma)
-        for i in range(m.dim - 1):
-            if fact.sigma[i]:
-                assert fact.sigma[i + 1] % fact.sigma[i] == 0
+        for a, b in zip(fact.sigma, fact.sigma[1:]):
+            assert (b % a == 0) if a else b == 0  # divisibility, zeros trailing
 
     def test_singular_allowed(self):
         fact = aw.smith_normal_form(IntMatrix.from_rows([[2, 4], [1, 2]]))
         assert fact.sigma == (1, 0)
         assert fact.reconstruct() == IntMatrix.from_rows([[2, 4], [1, 2]])
+
+    @pytest.mark.parametrize("rows, sigma", [
+        ([[-46, 28, -18], [0, 4, 0], [120, -68, 47]], (1, 2, 4)),
+        ([[1, 0, 0, 0], [17, -15, 18, 0], [6, -6, 6, 0], [0, 0, 0, 4]], (1, 1, 6, 12)),
+        ([[7, 5, 4, 7], [-8, -5, -5, -2], [6, -7, -8, -7], [8, -9, -9, 8]], (1, 1, 1, 2086)),
+    ])
+    def test_repaired_chain_is_canonical(self, rows, sigma):
+        # one divisibility repair leaves these with a non-diagonal trailing
+        # block (the first two) or a pair that still breaks the chain
+        m = IntMatrix.from_rows(rows)
+        fact = aw.smith_normal_form(m)
+        assert fact.sigma == sigma == brute_force_smith_diagonal(m)
+        assert fact.reconstruct() == m
 
 
 class TestListRows:

@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import convolve as scipy_convolve
 from scipy.signal import correlate as scipy_correlate
@@ -32,7 +32,7 @@ from anisowave.dictionary import (
     analysis_core,
     tensor_filters,
 )
-from anisowave.errors import InconclusiveError
+from anisowave.errors import DimMismatchError, InconclusiveError
 from anisowave.lattice import IntMatrix, determinant, rational_inverse
 from anisowave.seqcore import (
     CoefSeq,
@@ -199,13 +199,16 @@ def cases(draw, sparse_signal=False):
 
 @st.composite
 def subdivision_sums(draw):
-    """1-3 (part, mask) pairs at their own origins, dense or sparse parts."""
-    s = draw(st.sampled_from([2, 3]))
-    xi = draw(expansive(s))
-    side = 7 if s == 2 else 4
+    """1-4 (part, mask) pairs at their own origins, dense or sparse parts."""
+    s = draw(st.sampled_from([1, 2, 3]))
+    if s == 1:
+        xi = IntMatrix.from_rows([[draw(st.sampled_from([-3, -2, 2, 3]))]])
+    else:
+        xi = draw(expansive(s))
+    side, mask_side = {1: (12, 5), 2: (7, 3), 3: (4, 2)}[s]
     pairs = [(draw(sequences(s, side, sparse=draw(st.booleans()))),
-              draw(sequences(s, 3 if s == 2 else 2)))
-             for _ in range(draw(st.integers(1, 3)))]
+              draw(sequences(s, mask_side)))
+             for _ in range(draw(st.integers(1, 4)))]
     return xi, pairs
 
 
@@ -283,8 +286,16 @@ def test_subdivision_of_sparse_data_matches_oracle(case):
     assert_same(got, oracle_subdivision(c, mask, xi), scale_of(c, mask))
 
 
+# one dense pair, then a sparse one (one nonzero against four taps): the
+# sparse pair is added first, so only such calls round differently from
+# adding the pairs in order
 @PROPERTY
 @given(subdivision_sums())
+@example((IntMatrix.from_rows([[3, -1], [0, 2]]),
+          [(CoefSeq((0, -1), np.arange(1.0, 10.0).reshape(3, 3) / 7),
+            CoefSeq((1, 0), [[0.3, -1.1], [2.5, 0.7]])),
+           (CoefSeq((2, 1), [[0.0, 1.3], [0.0, 0.0]]),
+            CoefSeq((-1, 0), [[1.9, 0.1], [-0.6, 3.1]]))]))
 def test_summed_subdivision_matches_oracle(case):
     # one kernel call adds every pair into one output over the pairs' hull
     xi, pairs = case
@@ -292,6 +303,16 @@ def test_summed_subdivision_matches_oracle(case):
     got = polyphase_subdivision(parts, xi, masks)
     expect = oracle_sum([oracle_subdivision(c, mask, xi) for c, mask in pairs])
     assert_same(got, expect, sum(scale_of(c, mask) for c, mask in pairs))
+
+
+@pytest.mark.parametrize("rows", [[[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[2]]])
+def test_kernel_refuses_a_dilation_of_another_dimension(rows):
+    c = CoefSeq((0, 0), np.ones((3, 3)))
+    xi = IntMatrix.from_rows(rows)
+    with pytest.raises(DimMismatchError):
+        polyphase_analysis(c, xi, [c])
+    with pytest.raises(DimMismatchError):
+        polyphase_subdivision([c], xi, [c])
 
 
 @PROPERTY

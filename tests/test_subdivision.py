@@ -263,7 +263,7 @@ def render_cells(bank, eta, r):
 def renders_in_frame(bank, eta, r):
     """Whether wavelet_samples takes the tensor route for this render."""
     window = kernel_samples(bank, eta, r).window
-    return (subdivision._in_frame(bank)
+    return (bank.frame[0]
             and subdivision._tensor_samples(bank, tuple(eta), r, window,
                                             subdivision.DEFAULT_CELL_CAP) is not None)
 
@@ -284,7 +284,7 @@ def similarity_banks(draw):
         u = IntMatrix.from_rows(rows) @ u
     xi = u @ IntMatrix.diagonal(sigma) @ inverse_unimodular(u)
     bank = aw.build_bank(xi, sigma, univariate_sets_from_names(SIMILAR[sigma]))
-    assume(subdivision._in_frame(bank))
+    assume(bank.frame[0])
     return bank
 
 
@@ -349,7 +349,7 @@ def test_tensor_route_matches_kernel_wide_shear():
     # at the highest level inside the bound
     xi = IntMatrix.from_rows([[6, 2], [-6, -1]])
     bank = aw.build_bank(xi, (3, 2), univariate_sets_from_names(SIMILAR[(3, 2)]))
-    assert subdivision._in_frame(bank)
+    assert bank.frame[0]
     r = max(r for r in range(1, 6)
             if all(render_cells(bank, eta, r) <= RENDER_CELLS for eta in bank.indices()))
     assert r == 3
@@ -361,7 +361,7 @@ def test_tensor_route_matches_kernel_wide_shear():
 class TestTensorRoute:
     def test_worked_banks_match_kernel(self, bank0, bank1, haar_bank):
         for bank in (bank0, bank1, haar_bank):
-            assert subdivision._in_frame(bank)
+            assert bank.frame[0]
             for r in (1, 2, 5):
                 for eta in bank.indices():
                     assert_matches_kernel(bank, eta, r)
@@ -369,7 +369,7 @@ class TestTensorRoute:
     def test_composed_branch_bank_matches_kernel(self):
         sets = univariate_sets_from_names(["db2", "db2"])
         bank = aw.build_bank(IntMatrix.from_rows([[2, 2], [0, 2]]), (2, 2), sets)
-        assert not subdivision._in_frame(bank)  # theta2 theta1 != I: the kernel path
+        assert not bank.frame[0]  # theta2 theta1 != I: the kernel path
         for r in (1, 3, 5):
             for eta in bank.indices():
                 assert_matches_kernel(bank, eta, r)
@@ -714,7 +714,7 @@ class TestRenderSetUp:
         for bank, facts in ((bank0, (True, True)), (bank1, (True, False)),
                             (composed, (False, True)), (no_sets, (False, False))):
             assert bank.frame == facts and bank.frame is bank.frame
-            assert subdivision._in_frame(bank) is facts[0]
+            assert bank.frame[0] is facts[0]
         # the cache is no field: a fresh copy of the fields compares equal
         assert dataclasses.replace(bank1) == bank1
         assert "frame" not in {f.name for f in dataclasses.fields(bank1)}
