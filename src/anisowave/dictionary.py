@@ -197,6 +197,11 @@ class AnisoFilterBank:
         fact, eye = self.fact, IntMatrix.identity(self.dim)
         return self.sets is not None and fact.theta2 @ fact.theta1 == eye, fact.theta1 == eye
 
+    @cached_property
+    def theta1_inverse(self) -> IntMatrix:
+        """theta1^-1, its rows Python ints, worked out once as ``frame`` is."""
+        return inverse_unimodular(self.fact.theta1)
+
     def indices(self) -> list[tuple[int, ...]]:
         """All filter indices in lexicographic order (lowpass first)."""
         return sorted(self.filters.keys())
@@ -355,7 +360,13 @@ def analysis_core(window: Window, xi: IntMatrix, support: Window) -> list[tuple[
 
 
 def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
-    """``analysis_core`` as an (n, s) integer array, rows in the same order."""
+    """``analysis_core`` as an (n, s) integer array, rows in the same order.
+
+    The leading coordinates (the prefix) run over the preimage box in
+    lexicographic order.  Row i of lo <= xi gamma <= hi bounds the last
+    coordinate of each prefix by a ceiling and a floor division when
+    xi[i][-1] != 0, and keeps or drops the whole prefix otherwise.
+    """
     lo = tuple(wl - sl for wl, sl in zip(window.lo, support.lo))
     hi = tuple(wh - sh for wh, sh in zip(window.hi, support.hi))
     box = None
@@ -363,9 +374,20 @@ def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
         box = _preimage(xi, lo, hi)
     if box is None:
         return np.zeros((0, xi.dim), dtype=np.int64)
-    lags = np.indices(_box_shape(box), dtype=np.int64).reshape(xi.dim, -1).T + np.array(box[0])
-    image = lags @ np.array(xi.entries, dtype=np.int64).T
-    return lags[np.all((image >= np.array(lo)) & (image <= np.array(hi)), axis=1)]
+    shape = _box_shape(box)
+    heads = np.indices(shape[:-1], dtype=np.int64).reshape(len(shape) - 1, -1).T + box[0][:-1]
+    rests = (heads @ np.array([row[:-1] for row in xi.entries], dtype=np.int64).T).T[:, :, None]
+    tail = np.arange(box[0][-1], box[1][-1] + 1)
+    inside = True
+    # (xi gamma)_i = rest + a gamma_last, with rest from gamma's prefix
+    for row, rest, l, h in zip(xi.entries, rests, lo, hi):
+        a = row[-1]
+        if a:
+            l, h = (l, h) if a > 0 else (h, l)
+            inside = inside & (-((rest - l) // a) <= tail) & (tail <= (h - rest) // a)
+        else:
+            inside = inside & (l <= rest) & (rest <= h)
+    return np.argwhere(inside.reshape(shape)) + box[0]
 
 
 def _has_core_lag(window: Window, xi: IntMatrix, support: Window) -> bool:
@@ -432,7 +454,8 @@ def reproduction_check(bank: AnisoFilterBank, degree: int,
     positions, taps = _taps(bank.lowpass.origin, bank.lowpass.data)
     sigma = bank.fact.sigma
     coset = np.ravel_multi_index(tuple((_pull_back(bank.fact, positions) % sigma).T), sigma)
-    sums = np.zeros((bank.det, len(expos)))
+    det = bank.det
+    sums = np.zeros((det, len(expos)))
     np.add.at(sums, coset, taps[:, None] * _monomials(positions, expos))
 
     index = {expo: k for k, expo in enumerate(map(tuple, expos.tolist()))}
@@ -443,7 +466,7 @@ def reproduction_check(bank: AnisoFilterBank, degree: int,
         for delta in itertools.product(*(range(a + 1) for a in alpha)):
             rest = tuple(a - d for a, d in zip(alpha, delta))
             coef[:, index[rest]] = math.prod(map(math.comb, alpha, delta)) * moments[:, index[delta]]
-        details = np.abs((coef @ powers.T) * (1.0 / bank.det))
+        details = np.abs((coef @ powers.T) * (1.0 / det))
         rows.append(ReproductionRow(alpha, float(np.max(details)),
                                     float(np.max(sums[:, k]) - np.min(sums[:, k]))))
     return ReproductionReport(degree, window, tuple(rows))

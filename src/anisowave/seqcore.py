@@ -243,12 +243,13 @@ def _box_shape(box: Box) -> Vec:
 
 
 def _preimage(m: IntMatrix, lo: Sequence[int], hi: Sequence[int]) -> Box | None:
-    """Integer bounding box of m^-1 applied to the box [lo, hi] (None if empty)."""
+    """Integer bounding box of m^-1 applied to the box [lo, hi] (None if empty);
+    each row of adj(m) is least and greatest at the corner its signs pick."""
     adj, den = _integer_inverse(m)
-    corners = [tuple(sum(a * x for a, x in zip(row, c)) for row in adj)
-               for c in itertools.product(*zip(lo, hi))]
-    lo = tuple(-(-min(c[i] for c in corners) // den) for i in range(m.dim))
-    hi = tuple(max(c[i] for c in corners) // den for i in range(m.dim))
+    ends = [(sum(min(a * l, a * h) for a, l, h in zip(row, lo, hi)),
+             sum(max(a * l, a * h) for a, l, h in zip(row, lo, hi))) for row in adj]
+    lo = tuple(-(-least // den) for least, _ in ends)
+    hi = tuple(most // den for _, most in ends)
     return None if any(l > h for l, h in zip(lo, hi)) else (lo, hi)
 
 

@@ -26,7 +26,9 @@ more cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,7 +47,6 @@ from .seqcore import (
     _check_dilation,
     _image_box,
     _seq_box,
-    _shifted_views,
     _taps,
     delta,
     downsample,
@@ -159,14 +160,14 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     g(theta1^-1 .) for a tensor filter g, and the iterate is the tensor
     product of one 1-D cascade per axis (scale sigma_j) composed with
     theta1^-1.  The 1-D cascades are multiplied out once, straight into
-    the zeroed window through a strided view along theta1, which skips
-    the sheared box's padding; for a diagonal bank (theta1 = I) whose
-    tensor box is the window, the plain outer product is the window,
-    with no zero fill.  The scaling function then matches ``cascade`` of
-    the lowpass to rounding (~1e-15), not bit for bit.  Otherwise the
-    r-1 steps run on the full grid as one refinement chain: for
-    non-similar banks, for banks read without trustworthy sets, and if
-    the tensor support would not map into the window.
+    the window's slice over the box of theta1's image of their support,
+    in the window's C order (``_tensor_samples``); only a diagonal bank
+    (theta1 = I) whose tensor box is the window skips the zero fill.
+    The scaling function then matches ``cascade`` of the lowpass to
+    rounding (~1e-15), not bit for bit.  Otherwise the r-1 steps run on
+    the full grid as one refinement chain: for non-similar banks, for
+    banks read without trustworthy sets, and if the tensor support would
+    not map into the window.
     ``conjugation_check`` never takes this route: it iterates the
     bank's scheme through the kernel, so the identity the route relies
     on stays checked rather than assumed.
@@ -192,36 +193,56 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
                     window: Window, cap: int) -> np.ndarray | None:
     """The level-r iterate of filter eta over window, built in the Smith frame.
 
-    Axis j runs the 1-D cascade of filter eta_j of bank.sets[j] with r-1
-    lowpass steps of dilation sigma_j, one refinement chain per axis.
-    The chains start from the sets' trimmed filters and dilations, which
-    each set builds once, and take the 1-D polyphase route of
-    ``seqcore._chain`` (a set's scale is at least 2) in every step that
-    loops over the lowpass's taps.  Their outer product t lives on a
-    frame box B, and out(theta1 b) = t(b); when theta1 = I and B is the
-    window, t is out.  Returns None unless theta1 maps every corner of
-    B into the window, checked on the box of theta1 B in integer tuples:
-    the strided view cannot detect a point that wraps a row.
+    Axis j runs the 1-D cascade f_j of filter eta_j of bank.sets[j] with
+    r-1 lowpass steps of dilation sigma_j: one refinement chain per axis,
+    from the sets' trimmed filters and dilations, on the 1-D polyphase
+    route of ``seqcore._chain``.  With B their frame box, out(theta1 b) =
+    f_1(b_1) ... f_s(b_s): each f_j is read through a view over the box I
+    of theta1 B whose element strides are row j of theta1^-1, and the
+    views are multiplied, in order, into I's slice of the window, in the
+    window's C order.  Cells of I off theta1 B read a padded +0.0 and end
+    +0.0, as in a zeroed window: +0.0 is added after the product, or,
+    when an in-support product can be 0, inf or NaN, only theta1 B is
+    multiplied.  Returns None unless theta1 maps every corner of B into
+    the window, checked on I in integer tuples: a slice of the window
+    past its edge would be clipped silently.
     """
     factors = [_refine(uset.trimmed_filters[e], uset.dilation,
                        uset.trimmed_filters[0], r - 1, cap)
                for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
-    shape = tuple(u.shape[0] for u in factors)
-    theta1 = bank.fact.theta1
-    image_lo, image_hi = _image_box(theta1, (lo, tuple(l + n - 1 for l, n in zip(lo, shape))),
-                                    ((0,) * bank.dim,) * 2)
-    if not all(a <= b for a, b in zip(window.lo + image_hi, image_lo + window.hi)):
+    hi = tuple(l + len(u.data) - 1 for l, u in zip(lo, factors))
+    zero = ((0,) * bank.dim,) * 2
+    image = _image_box(bank.fact.theta1, (lo, hi), zero)
+    if not all(a <= b for a, b in zip(window.lo + image[1], image[0] + window.hi)):
         return None
-    head = np.ones(())
-    for u in factors[:-1]:
-        head = np.multiply.outer(head, u.data)
-    if bank.frame[1] and (lo, shape) == (window.lo, window.shape):
-        return np.multiply.outer(head, factors[-1].data)
-    out = np.zeros(window.shape)
-    view, rows = _shifted_views(out, window.lo, theta1, lo, shape,
-                                np.zeros((1, bank.dim), dtype=np.int64))
-    np.multiply.outer(head, factors[-1].data, out=view[rows[0]])
+    full = bank.frame[1] and (lo, hi) == (window.lo, window.hi)
+    out = (np.empty if full else np.zeros)(window.shape)
+    box = out[tuple(slice(a - w, b - w + 1) for a, b, w in zip(*image, window.lo))]
+    inverse = bank.theta1_inverse
+    (starts, stops), at = _image_box(inverse, image, zero), inverse.apply(image[0])
+
+    def along(j, values):  # f_j's view over I, zero (False) off its support
+        padded = np.zeros(stops[j] - starts[j] + 1, dtype=values.dtype)
+        padded[lo[j] - starts[j]:hi[j] - starts[j] + 1] = values
+        size = padded.itemsize
+        return np.ndarray(box.shape, padded.dtype, padded, size * (at[j] - starts[j]),
+                          tuple(size * a for a in inverse.entries[j]))
+    views = [along(j, u.data) for j, u in enumerate(factors)]
+    where, clear_signs = True, False
+    if box.size > math.prod(len(u.data) for u in factors):
+        # rounding is monotone: the products of each factor's least and
+        # greatest magnitudes bound those of every cell of theta1 B
+        mags = [np.abs(u.data) for u in factors]
+        clear_signs = (0 < math.prod(float(m.min()) for m in mags)
+                       and math.prod(float(m.max()) for m in mags) < math.inf)
+        where = clear_signs or functools.reduce(np.logical_and, [
+            along(j, np.ones(len(u.data), dtype=bool)) for j, u in enumerate(factors)])
+    np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=box, where=where)
+    for view in views[2:]:
+        np.multiply(box, view, out=box, where=where)
+    if clear_signs:
+        np.add(box, 0.0, out=box)
     return out
 
 

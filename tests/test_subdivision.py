@@ -319,14 +319,11 @@ def test_tensor_route_matches_kernel(bank, data):
     assert_matches_kernel(bank, eta, r)
 
 
-@settings(max_examples=40, deadline=None)
-@given(similarity_banks(), st.data())
-def test_tensor_route_is_the_product_of_subdivide_loops(bank, data):
-    # the oracle: each axis a loop of plain 1-D subdivide calls from the
-    # set's trimmed filter, the factors multiplied out by ``tensor``, and
-    # each frame point b written to theta1 b by index arithmetic
-    eta, r = draw_render(bank, data)
-    sf = aw.wavelet_samples(bank, eta, r)
+def subdivide_loop_render(bank, eta, r, window):
+    """The oracle: each axis a loop of plain 1-D subdivide calls from the
+    set's trimmed filter, the factors multiplied out by ``tensor``, and
+    each frame point b written to theta1 b of a zeroed window by index
+    arithmetic."""
     factors = []
     for uset, e in zip(bank.sets, eta):
         op = SubdivisionOp(IntMatrix.from_rows([[uset.scale]]), uset.trimmed_filters[0])
@@ -337,11 +334,58 @@ def test_tensor_route_is_the_product_of_subdivide_loops(bank, data):
     t = seqcore.tensor(factors)
     frame = np.stack(np.meshgrid(*[np.arange(o, o + n) for o, n in zip(t.origin, t.shape)],
                                  indexing="ij"), axis=-1).reshape(-1, bank.dim)
-    at = frame @ np.array(bank.fact.theta1.entries).T - np.array(sf.window.lo)
-    assert (at >= 0).all() and (at < np.array(sf.window.shape)).all()
-    expect = np.zeros(sf.window.shape)
+    at = frame @ np.array(bank.fact.theta1.entries).T - np.array(window.lo)
+    assert (at >= 0).all() and (at < np.array(window.shape)).all()
+    expect = np.zeros(window.shape)
     expect[tuple(at.T)] = t.data.reshape(-1)
-    assert sf.values.tobytes() == expect.tobytes()
+    return expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(similarity_banks(), st.data())
+def test_tensor_route_is_the_product_of_subdivide_loops(bank, data):
+    eta, r = draw_render(bank, data)
+    sf = aw.wavelet_samples(bank, eta, r)
+    assert sf.values.tobytes() == subdivide_loop_render(bank, eta, r, sf.window).tobytes()
+
+
+def stretched_haar_bank():
+    """The stretched Haar pair (1, 0, 0, +-1) / sqrt 2 at scale 2, tensored
+    with cl3 under xi = [[2, 1], [0, 3]]: its renders hold exact zeros
+    inside the frame box, some of them -0.0."""
+    r2 = 1 / math.sqrt(2)
+    pair = aw.UnivariateQMFSet(2, (CoefSeq((0,), np.array([r2, 0.0, 0.0, r2])),
+                                   CoefSeq((0,), np.array([r2, 0.0, 0.0, -r2]))))
+    return aw.build_bank(IntMatrix.from_rows([[2, 1], [0, 3]]), (2, 3),
+                         (pair, aw.chui_lian_ternary()))
+
+
+def family_member_bank():
+    """The sheared member [[3, 0, -1], [0, 3, 0], [0, 0, 2]] of the s = 3 family."""
+    return aw.build_bank(IntMatrix.from_rows([[3, 0, -1], [0, 3, 0], [0, 0, 2]]), (3, 3, 2),
+                         univariate_sets_from_names(["cl3", "cl3", "db2"]))
+
+
+@pytest.mark.parametrize("make", [stretched_haar_bank, family_member_bank])
+def test_named_renders_are_the_product_of_subdivide_loops(make):
+    # the stretched Haar bank's -0.0 cells must keep their sign; the
+    # padding of theta1's image box around them must read +0.0
+    bank = make()
+    assert bank.frame[0] and not bank.frame[1]
+    negative_zeros = 0
+    for r in (1, 2, 3, 4):
+        for eta in bank.indices():
+            sf = aw.wavelet_samples(bank, eta, r)
+            assert sf.values.tobytes() == subdivide_loop_render(bank, eta, r, sf.window).tobytes()
+            negative_zeros += np.count_nonzero((sf.values == 0) & np.signbit(sf.values))
+    assert (negative_zeros > 0) == (make is stretched_haar_bank)
+
+
+def test_level_7_render_is_the_product_of_subdivide_loops(bank1):
+    # a 11643 x 382 window, past the cells the drawn renders may reach
+    sf = aw.wavelet_samples(bank1, (0, 0), 7)
+    assert sf.window.cells > RENDER_CELLS
+    assert sf.values.tobytes() == subdivide_loop_render(bank1, (0, 0), 7, sf.window).tobytes()
 
 
 def test_tensor_route_matches_kernel_wide_shear():
@@ -360,7 +404,8 @@ def test_tensor_route_matches_kernel_wide_shear():
 
 class TestTensorRoute:
     def test_worked_banks_match_kernel(self, bank0, bank1, haar_bank):
-        for bank in (bank0, bank1, haar_bank):
+        line = aw.build_bank(IntMatrix.from_rows([[2]]), (2,), (aw.daubechies2(),))
+        for bank in (bank0, bank1, haar_bank, line):
             assert bank.frame[0]
             for r in (1, 2, 5):
                 for eta in bank.indices():
@@ -715,9 +760,12 @@ class TestRenderSetUp:
                             (composed, (False, True)), (no_sets, (False, False))):
             assert bank.frame == facts and bank.frame is bank.frame
             assert bank.frame[0] is facts[0]
+            inverse = bank.theta1_inverse
+            assert inverse is bank.theta1_inverse and inverse @ bank.fact.theta1 == IntMatrix.identity(2)
+            assert all(type(x) is int for row in inverse.entries for x in row)
         # the cache is no field: a fresh copy of the fields compares equal
         assert dataclasses.replace(bank1) == bank1
-        assert "frame" not in {f.name for f in dataclasses.fields(bank1)}
+        assert {"frame", "theta1_inverse"}.isdisjoint(f.name for f in dataclasses.fields(bank1))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 5, 7, 40])
     def test_total_dilation_is_the_power(self, r):
