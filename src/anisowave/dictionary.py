@@ -360,13 +360,7 @@ def analysis_core(window: Window, xi: IntMatrix, support: Window) -> list[tuple[
 
 
 def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
-    """``analysis_core`` as an (n, s) integer array, rows in the same order.
-
-    The leading coordinates (the prefix) run over the preimage box in
-    lexicographic order.  Row i of lo <= xi gamma <= hi bounds the last
-    coordinate of each prefix by a ceiling and a floor division when
-    xi[i][-1] != 0, and keeps or drops the whole prefix otherwise.
-    """
+    """``analysis_core`` as an (n, s) integer array, rows in the same order."""
     lo = tuple(wl - sl for wl, sl in zip(window.lo, support.lo))
     hi = tuple(wh - sh for wh, sh in zip(window.hi, support.hi))
     box = None
@@ -374,20 +368,9 @@ def _core_lags(window: Window, xi: IntMatrix, support: Window) -> np.ndarray:
         box = _preimage(xi, lo, hi)
     if box is None:
         return np.zeros((0, xi.dim), dtype=np.int64)
-    shape = _box_shape(box)
-    heads = np.indices(shape[:-1], dtype=np.int64).reshape(len(shape) - 1, -1).T + box[0][:-1]
-    rests = (heads @ np.array([row[:-1] for row in xi.entries], dtype=np.int64).T).T[:, :, None]
-    tail = np.arange(box[0][-1], box[1][-1] + 1)
-    inside = True
-    # (xi gamma)_i = rest + a gamma_last, with rest from gamma's prefix
-    for row, rest, l, h in zip(xi.entries, rests, lo, hi):
-        a = row[-1]
-        if a:
-            l, h = (l, h) if a > 0 else (h, l)
-            inside = inside & (-((rest - l) // a) <= tail) & (tail <= (h - rest) // a)
-        else:
-            inside = inside & (l <= rest) & (rest <= h)
-    return np.argwhere(inside.reshape(shape)) + box[0]
+    lags = np.indices(_box_shape(box), dtype=np.int64).reshape(xi.dim, -1).T + np.array(box[0])
+    image = lags @ np.array(xi.entries, dtype=np.int64).T
+    return lags[np.all((image >= np.array(lo)) & (image <= np.array(hi)), axis=1)]
 
 
 def _has_core_lag(window: Window, xi: IntMatrix, support: Window) -> bool:

@@ -26,7 +26,6 @@ more cells.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -236,7 +235,7 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
         mags = [np.abs(u.data) for u in factors]
         clear_signs = (0 < math.prod(float(m.min()) for m in mags)
                        and math.prod(float(m.max()) for m in mags) < math.inf)
-        where = clear_signs or functools.reduce(np.logical_and, [
+        where = clear_signs or np.logical_and.reduce([
             along(j, np.ones(len(u.data), dtype=bool)) for j, u in enumerate(factors)])
     np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=box, where=where)
     for view in views[2:]:
