@@ -191,6 +191,9 @@ def cmd_cascade(args) -> int:
     if args.pgm and bank.dim != 2:
         print("error: PGM export needs a 2-D bank", file=sys.stderr)
         return 1
+    if args.levels < 1:
+        print("error: wavelet sampling needs r >= 1", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     for k in wanted:
         eta = indices[k]

@@ -23,7 +23,6 @@ from .lattice import (
     SmithFactorization,
     _integer_inverse,
     determinant,
-    inverse_unimodular,
     smith_with_target,
 )
 from .seqcore import (
@@ -32,12 +31,10 @@ from .seqcore import (
     _analysis,
     _box_hull,
     _box_shape,
-    _gather,
     _image_box,
     _lag_box,
     _preimage,
     _seq_box,
-    _stacked,
     _taps,
     _trimmed,
     cross_qmf_residual,
@@ -191,16 +188,11 @@ class AnisoFilterBank:
         return self.filters[(0,) * self.dim]
 
     @cached_property
-    def frame(self) -> tuple[bool, bool]:
-        """(in frame: sets known and theta2 theta1 = I; theta1 = I), worked out
-        once.  Not a field, so equality and the frozen fields ignore it."""
-        fact, eye = self.fact, IntMatrix.identity(self.dim)
-        return self.sets is not None and fact.theta2 @ fact.theta1 == eye, fact.theta1 == eye
-
-    @cached_property
-    def theta1_inverse(self) -> IntMatrix:
-        """theta1^-1, its rows Python ints, worked out once as ``frame`` is."""
-        return inverse_unimodular(self.fact.theta1)
+    def frame(self) -> bool:
+        """Whether the bank renders in its Smith frame (sets known, theta2
+        theta1 = I), worked out once.  Not a field, so equality ignores it."""
+        fact = self.fact
+        return self.sets is not None and fact.theta2 @ fact.theta1 == IntMatrix.identity(self.dim)
 
     def indices(self) -> list[tuple[int, ...]]:
         """All filter indices in lexicographic order (lowpass first)."""
@@ -265,7 +257,7 @@ class AnisoFilterBank:
 
 def _pull_back(fact: SmithFactorization, positions: np.ndarray) -> np.ndarray:
     """The (n, s) lattice points theta1^-1 beta of the rows beta of positions."""
-    return positions @ np.array(inverse_unimodular(fact.theta1).entries, dtype=np.int64).T
+    return positions @ np.array(fact.theta1_inverse.entries, dtype=np.int64).T
 
 
 def _points_box(points: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -302,11 +294,11 @@ def tensor_filters(fact: SmithFactorization,
 
     g_eta is the tensor product of filter eta_j of sets[j]; sets[j] must
     carry scale fact.sigma[j].  Under theta1 = I the tensors are the
-    filters as they are.  Otherwise the tensors, stacked over their hull
-    as channels, are reindexed together: one gather over the lag box of
-    ``reindex`` reads every channel, and one trim cuts each channel to
-    its nonzero support, so each filter is bit for bit its own
-    ``reindex``.
+    filters as they are.  Otherwise every cell b of every tensor, zeros
+    and their signs included, is written to theta1 b of one zeroed stack
+    over the box of those points, the filters as channels, and one trim
+    cuts each channel to its nonzero support, so each filter is bit for
+    bit its own ``reindex``.
     """
     sigma = fact.sigma
     if len(sets) != len(sigma):
@@ -318,13 +310,14 @@ def tensor_filters(fact: SmithFactorization,
     etas = list(itertools.product(*[range(s_j) for s_j in sigma]))
     tensors = [tensor([sets[j].filters[eta[j]] for j in range(len(sigma))])
                for eta in etas]
-    theta1_inv = inverse_unimodular(fact.theta1)
-    if theta1_inv != IntMatrix.identity(len(sigma)):
-        hull = _box_hull(map(_seq_box, tensors))
-        stack = _stacked([(g.origin, g.data) for g in tensors], hull)
-        box = _preimage(theta1_inv, *hull)
-        out = _gather(hull[0], stack, theta1_inv, box, (0,) * len(sigma))
-        tensors = _trimmed(box[0], out)
+    if fact.theta1 != IntMatrix.identity(len(sigma)):
+        cells = np.concatenate([np.argwhere(np.ones(g.shape, bool)) + g.origin for g in tensors])
+        points = cells @ np.array(fact.theta1.entries, dtype=np.int64).T
+        box = _points_box(points)
+        stack = np.zeros((len(tensors), *_box_shape(box)))
+        rows = np.repeat(np.arange(len(tensors)), [g.data.size for g in tensors])
+        stack[(rows, *(points - box[0]).T)] = np.concatenate([g.data.ravel() for g in tensors])
+        tensors = _trimmed(box[0], stack)
     return dict(zip(etas, tensors))
 
 

@@ -251,6 +251,8 @@ def bank_from_json(obj: dict) -> AnisoFilterBank:
     rebuild every stored filter, so an edited filter keeps its edit."""
     xi = matrix_from_json(obj["xi"])
     sigma = tuple(int(x) for x in obj["sigma"])
+    if any(s < 1 for s in sigma):
+        raise ValueError(f"bank sigma entries must be >= 1, got {sigma}")
     fact = SmithFactorization(matrix_from_json(obj["theta1"]), sigma,
                               matrix_from_json(obj["theta2"]))
     if fact.reconstruct() != xi:

@@ -23,6 +23,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -262,6 +263,11 @@ class SmithFactorization:
     def reconstruct(self) -> IntMatrix:
         return self.theta1 @ IntMatrix.diagonal(self.sigma) @ self.theta2
 
+    @cached_property
+    def theta1_inverse(self) -> IntMatrix:
+        """theta1^-1, worked out on first use; not a field, so equality ignores it."""
+        return inverse_unimodular(self.theta1)
+
 
 def _smith_eliminate(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
     """Diagonalize by unimodular row/column operations.
@@ -437,21 +443,18 @@ def smith_with_target(m: IntMatrix, target: Sequence[int]) -> SmithFactorization
     """Smith factorization with a prescribed diagonal.
 
     Requires diag(target) to have the same normal form as m.  A matrix
-    that already equals diag(target) gets identity factors; a matrix
     integrally similar to diag(target) gets the similarity pair
     (theta2 = theta1^-1), its columns integer eigenvectors read off
-    Hermite forms (``_kernel_basis``) with no Smith normal form;
-    otherwise the two normal forms are composed.
+    Hermite forms (``_kernel_basis``) with no Smith normal form; m =
+    diag(target) itself is one, with identity factors.  Otherwise the
+    two normal forms are composed.
     """
     target = tuple(_as_int(t) for t in target)
     if len(target) != m.dim:
         raise IncompatibleDiagonalError("target length does not match dimension")
-    if m == IntMatrix.diagonal(target):
-        ident = IntMatrix.identity(m.dim)
-        return SmithFactorization(ident, target, ident)
 
     # a similarity m = x diag(target) x^-1 already proves that the normal
-    # forms agree, so only the other branches compute them
+    # forms agree, so only the composed branch computes them
     x = _similarity_transform(m, target)
     if x is not None:
         return SmithFactorization(x, target, inverse_unimodular(x))

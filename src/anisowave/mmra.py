@@ -383,7 +383,7 @@ def slope_digits(family: DilationFamily, w: Sequence, w2: Sequence,
     """
     delta = Fraction(delta)
     if delta <= 0:
-        raise OutOfSimplexError("tolerance must be positive")
+        raise ValueError("tolerance must be positive")
     u = _unsigned(family, w)
     u2 = _unsigned(family, w2)
     if not _in_simplex(u):

@@ -18,10 +18,10 @@ is one refinement chain of the kernel (``seqcore._chain``): it splits
 its mask once, and on finite data its iterates are bit for bit those of
 a loop of ``subdivide`` calls.  The 1-D cascades take the chain's
 polyphase route; the chains on the full grid add one tap at a time.
-Sets trim their filters, and banks keep their frame facts, once.
-``subdivide`` stays the one-step API.  The cell cap ANISO_CELL_CAP is
-read once per call, by ``_cell_cap``, and no step may build a grid of
-more cells.
+Sets trim their filters, banks keep their frame fact and Smith
+factorizations theta1^-1, once.  ``subdivide`` stays the one-step API.
+The cell cap ANISO_CELL_CAP is read once per call, by ``_cell_cap``,
+and no step may build a grid of more cells.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .dictionary import AnisoFilterBank, _points_box, _pull_back
 from .errors import BadDigitError, GridMismatchError
-from .lattice import IntMatrix, _times, determinant, inverse_unimodular
+from .lattice import IntMatrix, _times, determinant
 from .seqcore import (
     CoefSeq,
     Window,
@@ -154,14 +154,14 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     window is the box those steps reach, and no step may exceed
     ANISO_CELL_CAP cells.
 
-    Route: when the bank knows its sets and theta2 theta1 = I (facts it
-    keeps from its first render, with theta1 = I), every filter is
+    Route: when the bank knows its sets and theta2 theta1 = I (the fact
+    ``frame`` it keeps from its first render), every filter is
     g(theta1^-1 .) for a tensor filter g, and the iterate is the tensor
     product of one 1-D cascade per axis (scale sigma_j) composed with
     theta1^-1.  The 1-D cascades are multiplied out once, straight into
     the window's slice over the box of theta1's image of their support,
-    in the window's C order (``_tensor_samples``); only a diagonal bank
-    (theta1 = I) whose tensor box is the window skips the zero fill.
+    in the window's C order (``_tensor_samples``); only a render whose
+    image box is the window and every cell of it skips the zero fill.
     The scaling function then matches ``cascade`` of the lowpass to
     rounding (~1e-15), not bit for bit.  Otherwise the r-1 steps run on
     the full grid as one refinement chain: for non-similar banks, for
@@ -176,7 +176,7 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     c = bank.filter_at(eta)
     cap = _cell_cap()
     total = _matrix_power(bank.xi, r)
-    if bank.frame[0]:
+    if bank.frame:
         box = _seq_box(c)
         hull = _seq_box(bank.lowpass)
         for _ in range(r - 1):
@@ -202,9 +202,10 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
     window's C order.  Cells of I off theta1 B read a padded +0.0 and end
     +0.0, as in a zeroed window: +0.0 is added after the product, or,
     when an in-support product can be 0, inf or NaN, only theta1 B is
-    multiplied.  Returns None unless theta1 maps every corner of B into
-    the window, checked on I in integer tuples: a slice of the window
-    past its edge would be clipped silently.
+    multiplied.  A window that is I, with as many cells as B (theta1 = I
+    or a signed permutation), is not zeroed first.  Returns None unless
+    theta1 maps every corner of B into the window, checked on I in integer
+    tuples: a slice of the window past its edge would be clipped silently.
     """
     factors = [_refine(uset.trimmed_filters[e], uset.dilation,
                        uset.trimmed_filters[0], r - 1, cap)
@@ -215,10 +216,11 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
     image = _image_box(bank.fact.theta1, (lo, hi), zero)
     if not all(a <= b for a, b in zip(window.lo + image[1], image[0] + window.hi)):
         return None
-    full = bank.frame[1] and (lo, hi) == (window.lo, window.hi)
+    cells = math.prod(len(u.data) for u in factors)
+    full = image == (window.lo, window.hi) and window.cells == cells
     out = (np.empty if full else np.zeros)(window.shape)
     box = out[tuple(slice(a - w, b - w + 1) for a, b, w in zip(*image, window.lo))]
-    inverse = bank.theta1_inverse
+    inverse = bank.fact.theta1_inverse
     (starts, stops), at = _image_box(inverse, image, zero), inverse.apply(image[0])
 
     def along(j, values):  # f_j's view over I, zero (False) off its support
@@ -229,7 +231,7 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
                           tuple(size * a for a in inverse.entries[j]))
     views = [along(j, u.data) for j, u in enumerate(factors)]
     where, clear_signs = True, False
-    if box.size > math.prod(len(u.data) for u in factors):
+    if box.size > cells:
         # rounding is monotone: the products of each factor's least and
         # greatest magnitudes bound those of every cell of theta1 B
         mags = [np.abs(u.data) for u in factors]
@@ -295,7 +297,7 @@ def conjugation_check(bank: AnisoFilterBank, r: int) -> float:
     h[tuple((points - hull[0]).T)] = weights
     lhs = _refine(delta(bank.dim), bank.xi, bank.lowpass, r, cap)
     rhs = _refine(delta(bank.dim), sigma_lam, CoefSeq(hull[0], h), r, cap)
-    return max_abs_diff(lhs, reindex(rhs, inverse_unimodular(theta1)))
+    return max_abs_diff(lhs, reindex(rhs, bank.fact.theta1_inverse))
 
 
 def multiple_limit(banks: Sequence[AnisoFilterBank], mu: Sequence[int],

@@ -348,11 +348,12 @@ class TestCliBank:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("edit", ["no-lowpass", "extra-index", "long-index",
-                                      "1-d-filter"])
+                                      "1-d-filter", "singular"])
     @pytest.mark.parametrize("command", ["verify", "cascade"])
     def test_wrong_filter_set_exit_1(self, tmp_path, capsys, edit, command):
         """A bank file whose filters are not indexed by exactly
-        Z_3 x Z_2, or hold a filter of another dimension, is malformed."""
+        Z_3 x Z_2, or hold a filter of another dimension, is malformed, and
+        so is a singular dilation with its zero diagonal."""
         path = str(tmp_path / "bank1.json")
         assert main(["bank", "build", "--xi", XI1_JSON, "--sigma", "3,2",
                      "--families", "cl3,db2", "-o", path]) == 0
@@ -364,6 +365,10 @@ class TestCliBank:
             filters["5,5"] = filters["1,1"]
         elif edit == "long-index":
             filters["1,1,1"] = filters["1,1"]
+        elif edit == "singular":
+            zero, eye = [[0, 0], [0, 0]], [[1, 0], [0, 1]]
+            data.update(xi={"dim": 2, "rows": zero}, sigma=[0, 0], filters={},
+                        theta1={"dim": 2, "rows": eye}, theta2={"dim": 2, "rows": eye})
         else:
             filters["1,1"] = formats.coefseq_to_json(CoefSeq((0,), np.array([0.5, 0.5])))
         bad = str(tmp_path / "bad.json")
@@ -552,6 +557,7 @@ class TestCliCascade:
         (["--filter", "99"], "filter index 99 out of range"),
         (["--filter", "9,9"], "no filter with index (9, 9)"),
         (["--pgm", "8"], "PGM export needs a 2-D bank"),
+        (["-r", "0"], "wavelet sampling needs r >= 1"),
     ])
     def test_refusal_creates_no_output(self, bank_file, tmp_path, capsys, option,
                                        message):
@@ -934,6 +940,13 @@ class TestCliSlope:
     def test_out_of_simplex_exit_2(self):
         assert main(["slope", "--sigma1", "3", "--sigma2", "2", "--dim", "2",
                      "--w", "0", "--w2", "1.5", "--delta", "0.01"]) == 2
+
+    @pytest.mark.parametrize("delta", ["0", "-0.5"])
+    def test_non_positive_tolerance_exit_1(self, capsys, delta):
+        # a bad tolerance is a usage error; exit 2 is kept for failed checks
+        assert main(["slope", "--sigma1", "3", "--sigma2", "2", "--w", "0",
+                     "--w2", "0.5", "--delta", delta]) == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
 
 
 class TestCustomFamilyFile:

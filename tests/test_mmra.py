@@ -484,6 +484,11 @@ class TestSlopeDigits:
         with pytest.raises(OutOfSimplexError):
             aw.slope_digits(family, (Fraction(-1, 2),), (0,), Fraction(1, 10))
 
+    @pytest.mark.parametrize("delta", [0, Fraction(-1, 2)])
+    def test_non_positive_tolerance_is_a_value_error(self, family, delta):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            aw.slope_digits(family, (0,), (Fraction(1, 2),), delta)
+
     def test_non_covering_family_raises(self):
         # ratio 2/5 leaves a hole around 1/2, unreachable for small delta
         fam = aw.dilation_family(5, 2, 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import anisowave as aw
 from anisowave import seqcore, subdivision
-from anisowave.dictionary import univariate_sets_from_names
+from anisowave.dictionary import reproduction_check, univariate_sets_from_names
 from anisowave.errors import GridMismatchError, GridTooLargeError, InconclusiveError
 from anisowave.lattice import IntMatrix, inverse_unimodular
 from anisowave.seqcore import (
@@ -263,7 +264,7 @@ def render_cells(bank, eta, r):
 def renders_in_frame(bank, eta, r):
     """Whether wavelet_samples takes the tensor route for this render."""
     window = kernel_samples(bank, eta, r).window
-    return (bank.frame[0]
+    return (bank.frame
             and subdivision._tensor_samples(bank, tuple(eta), r, window,
                                             subdivision.DEFAULT_CELL_CAP) is not None)
 
@@ -284,7 +285,7 @@ def similarity_banks(draw):
         u = IntMatrix.from_rows(rows) @ u
     xi = u @ IntMatrix.diagonal(sigma) @ inverse_unimodular(u)
     bank = aw.build_bank(xi, sigma, univariate_sets_from_names(SIMILAR[sigma]))
-    assume(bank.frame[0])
+    assume(bank.frame)
     return bank
 
 
@@ -366,12 +367,19 @@ def family_member_bank():
                          univariate_sets_from_names(["cl3", "cl3", "db2"]))
 
 
-@pytest.mark.parametrize("make", [stretched_haar_bank, family_member_bank])
+def rotated_bank():
+    """diag(2, 3) on the target (3, 2): theta1 = [[0, -1], [1, 0]] maps each
+    frame box onto its window, which is then not zeroed first."""
+    return aw.build_bank(IntMatrix.diagonal([2, 3]), (3, 2),
+                         univariate_sets_from_names(["cl3", "db2"]))
+
+
+@pytest.mark.parametrize("make", [stretched_haar_bank, family_member_bank, rotated_bank])
 def test_named_renders_are_the_product_of_subdivide_loops(make):
     # the stretched Haar bank's -0.0 cells must keep their sign; the
     # padding of theta1's image box around them must read +0.0
     bank = make()
-    assert bank.frame[0] and not bank.frame[1]
+    assert bank.frame and bank.fact.theta1 != IntMatrix.identity(bank.dim)
     negative_zeros = 0
     for r in (1, 2, 3, 4):
         for eta in bank.indices():
@@ -393,7 +401,7 @@ def test_tensor_route_matches_kernel_wide_shear():
     # at the highest level inside the bound
     xi = IntMatrix.from_rows([[6, 2], [-6, -1]])
     bank = aw.build_bank(xi, (3, 2), univariate_sets_from_names(SIMILAR[(3, 2)]))
-    assert bank.frame[0]
+    assert bank.frame
     r = max(r for r in range(1, 6)
             if all(render_cells(bank, eta, r) <= RENDER_CELLS for eta in bank.indices()))
     assert r == 3
@@ -406,7 +414,7 @@ class TestTensorRoute:
     def test_worked_banks_match_kernel(self, bank0, bank1, haar_bank):
         line = aw.build_bank(IntMatrix.from_rows([[2]]), (2,), (aw.daubechies2(),))
         for bank in (bank0, bank1, haar_bank, line):
-            assert bank.frame[0]
+            assert bank.frame
             for r in (1, 2, 5):
                 for eta in bank.indices():
                     assert_matches_kernel(bank, eta, r)
@@ -414,7 +422,7 @@ class TestTensorRoute:
     def test_composed_branch_bank_matches_kernel(self):
         sets = univariate_sets_from_names(["db2", "db2"])
         bank = aw.build_bank(IntMatrix.from_rows([[2, 2], [0, 2]]), (2, 2), sets)
-        assert not bank.frame[0]  # theta2 theta1 != I: the kernel path
+        assert not bank.frame  # theta2 theta1 != I: the kernel path
         for r in (1, 3, 5):
             for eta in bank.indices():
                 assert_matches_kernel(bank, eta, r)
@@ -756,16 +764,38 @@ class TestRenderSetUp:
         composed = aw.build_bank(IntMatrix.from_rows([[2, 2], [0, 2]]), (2, 2),
                                  univariate_sets_from_names(["db2", "db2"]))
         no_sets = dataclasses.replace(bank1, sets=None)
-        for bank, facts in ((bank0, (True, True)), (bank1, (True, False)),
-                            (composed, (False, True)), (no_sets, (False, False))):
-            assert bank.frame == facts and bank.frame is bank.frame
-            assert bank.frame[0] is facts[0]
-            inverse = bank.theta1_inverse
-            assert inverse is bank.theta1_inverse and inverse @ bank.fact.theta1 == IntMatrix.identity(2)
+        for bank, in_frame in ((bank0, True), (bank1, True), (composed, False),
+                               (no_sets, False)):
+            assert bank.frame is in_frame and bank.frame is bank.frame
+            inverse = bank.fact.theta1_inverse
+            assert inverse is bank.fact.theta1_inverse
+            assert inverse @ bank.fact.theta1 == IntMatrix.identity(2)
             assert all(type(x) is int for row in inverse.entries for x in row)
-        # the cache is no field: a fresh copy of the fields compares equal
+        # the caches are no fields: a fresh copy of the fields compares equal
         assert dataclasses.replace(bank1) == bank1
-        assert {"frame", "theta1_inverse"}.isdisjoint(f.name for f in dataclasses.fields(bank1))
+        assert dataclasses.replace(bank1.fact) == bank1.fact
+        assert "frame" not in {f.name for f in dataclasses.fields(bank1)}
+        assert "theta1_inverse" not in {f.name for f in dataclasses.fields(bank1.fact)}
+        assert not hasattr(bank1, "theta1_inverse")
+
+    def test_theta1_is_inverted_once_per_bank(self, sets, monkeypatch):
+        bank = aw.build_bank(IntMatrix.from_rows([[3, -1], [0, 2]]), (3, 2), sets)
+        real, calls = inverse_unimodular, []
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "anisowave" and getattr(module, "inverse_unimodular", None) is real:
+                monkeypatch.setattr(module, "inverse_unimodular", counted)
+        side = max(bank.support_hull().shape) + 8
+        bank.residual_matrix()
+        reproduction_check(bank, 1, Window((0, 0), (side - 1, side - 1)))
+        aw.conjugation_check(bank, 2)
+        for eta in ((0, 0), (2, 1)):
+            aw.wavelet_samples(bank, eta, 3)
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize("r", [0, 1, 2, 5, 7, 40])
     def test_total_dilation_is_the_power(self, r):
