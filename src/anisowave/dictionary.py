@@ -31,9 +31,11 @@ from .seqcore import (
     _analysis,
     _box_hull,
     _box_shape,
+    _chain,
     _image_box,
     _lag_box,
     _preimage,
+    _refuse_over,
     _seq_box,
     _taps,
     _trimmed,
@@ -46,7 +48,14 @@ MOMENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class UnivariateQMFSet:
-    """Orthogonal filters for one integer scale: filters[0] is the lowpass."""
+    """Orthogonal filters for one integer scale: filters[0] is the lowpass.
+
+    A set works out its render facts once and keeps them, none as a
+    field, so equality ignores them: its trimmed filters, its 1-D
+    dilation, and each filter's refinement chain as deep as renders have
+    asked (``refined``).  The kept iterates are read-only; one kept for
+    a tensor render is no longer than one side of that render's window.
+    """
 
     scale: int
     filters: tuple[CoefSeq, ...]
@@ -73,6 +82,34 @@ class UnivariateQMFSet:
     def dilation(self) -> IntMatrix:
         """The 1-D dilation [[scale]], built on first use."""
         return IntMatrix(((self.scale,),))
+
+    @cached_property
+    def chains(self) -> dict[tuple[int, int], CoefSeq]:
+        """The kept iterates of ``refined``, by (filter, step); empty at first."""
+        return {}
+
+    def refined(self, e: int, steps: int, cap: int) -> CoefSeq:
+        """The steps-th iterate of trimmed_filters[e] under the mask
+        trimmed_filters[0] and ``dilation`` (trimmed_filters[e] for 0).
+
+        Iterates are kept in ``chains``, read-only: a request no deeper
+        than the kept ones returns one of them, a deeper one resumes
+        ``seqcore._chain`` from the last.  Each is that chain's step bit
+        for bit, as a chain's next step reads only the previous iterate.
+        A kept step over cap cells is refused, as the chain refuses it
+        before building it, with the same message.
+        """
+        kept, have = self.chains, steps
+        while have and (e, have) not in kept:
+            have -= 1
+        for k in range(1, have + 1):
+            _refuse_over(kept[e, k].data.size, cap)
+        c = kept[e, have] if have else self.trimmed_filters[e]
+        chain = _chain(c, self.dilation, self.trimmed_filters[0], cap)
+        for k, c in zip(range(have + 1, steps + 1), chain):
+            c.data.flags.writeable = False
+            kept[e, k] = c
+        return c
 
     def qmf_residuals(self) -> dict[tuple[int, int], float]:
         """Residual of every ordered filter pair against the QMF identity."""

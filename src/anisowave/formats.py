@@ -20,7 +20,7 @@ import numpy as np
 
 from .dictionary import AnisoFilterBank, UnivariateQMFSet, tensor_filters
 from .errors import ScaleMismatchError
-from .lattice import IntMatrix, SmithFactorization
+from .lattice import IntMatrix, SmithFactorization, _as_int
 from .seqcore import CoefSeq, Window
 from .subdivision import SampledFunction
 
@@ -250,7 +250,7 @@ def bank_from_json(obj: dict) -> AnisoFilterBank:
     """The bank of a document; its univariate sets are kept only if they
     rebuild every stored filter, so an edited filter keeps its edit."""
     xi = matrix_from_json(obj["xi"])
-    sigma = tuple(int(x) for x in obj["sigma"])
+    sigma = tuple(_as_int(x) for x in obj["sigma"])
     if any(s < 1 for s in sigma):
         raise ValueError(f"bank sigma entries must be >= 1, got {sigma}")
     fact = SmithFactorization(matrix_from_json(obj["theta1"]), sigma,

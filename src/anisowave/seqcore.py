@@ -806,7 +806,14 @@ def embed(c: CoefSeq, lo: Vec, hi: Vec) -> np.ndarray:
 
 
 def max_abs_diff(a: CoefSeq, b: CoefSeq) -> float:
-    """Sup-norm distance treating both sequences as elements of l(Z^s)."""
+    """Sup-norm distance treating both sequences as elements of l(Z^s).
+
+    a is embedded in the hull of both boxes once and b subtracted in
+    place over its own box, one array in all; a NaN propagates.
+    """
     _check_dims(a, b)
     box = _box_hull((_seq_box(a), _seq_box(b)))
-    return float(np.abs(embed(a, *box) - embed(b, *box)).max())
+    out = embed(a, *box)
+    part = out[tuple(slice(o - l, o - l + n) for o, l, n in zip(b.origin, box[0], b.shape))]
+    np.subtract(part, b.data, out=part)
+    return float(np.abs(out, out=out).max())

@@ -18,7 +18,8 @@ is one refinement chain of the kernel (``seqcore._chain``): it splits
 its mask once, and on finite data its iterates are bit for bit those of
 a loop of ``subdivide`` calls.  The 1-D cascades take the chain's
 polyphase route; the chains on the full grid add one tap at a time.
-Sets trim their filters, banks keep their frame fact and Smith
+Sets trim their filters and keep their filters' 1-D chains as deep as
+renders have asked; banks keep their frame fact and Smith
 factorizations theta1^-1, once.  ``subdivide`` stays the one-step API.
 The cell cap ANISO_CELL_CAP is read once per call, by ``_cell_cap``,
 and no step may build a grid of more cells.
@@ -38,6 +39,7 @@ from .dictionary import AnisoFilterBank, _points_box, _pull_back
 from .errors import BadDigitError, GridMismatchError
 from .lattice import IntMatrix, _times, determinant
 from .seqcore import (
+    Box,
     CoefSeq,
     Window,
     _box_shape,
@@ -162,6 +164,10 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     the window's slice over the box of theta1's image of their support,
     in the window's C order (``_tensor_samples``); only a render whose
     image box is the window and every cell of it skips the zero fill.
+    Each univariate set keeps its filters' 1-D chains as deep as renders
+    have asked, read-only, so a later render of any bank sharing the set
+    reuses them; an iterate kept for this route is no longer than one
+    side of the window that asked for it.
     The scaling function then matches ``cascade`` of the lowpass to
     rounding (~1e-15), not bit for bit.  Otherwise the r-1 steps run on
     the full grid as one refinement chain: for non-similar banks, for
@@ -195,21 +201,26 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
     Axis j runs the 1-D cascade f_j of filter eta_j of bank.sets[j] with
     r-1 lowpass steps of dilation sigma_j: one refinement chain per axis,
     from the sets' trimmed filters and dilations, on the 1-D polyphase
-    route of ``seqcore._chain``.  With B their frame box, out(theta1 b) =
-    f_1(b_1) ... f_s(b_s): each f_j is read through a view over the box I
-    of theta1 B whose element strides are row j of theta1^-1, and the
-    views are multiplied, in order, into I's slice of the window, in the
-    window's C order.  Cells of I off theta1 B read a padded +0.0 and end
-    +0.0, as in a zeroed window: +0.0 is added after the product, or,
-    when an in-support product can be 0, inf or NaN, only theta1 B is
-    multiplied.  A window that is I, with as many cells as B (theta1 = I
-    or a signed permutation), is not zeroed first.  Returns None unless
-    theta1 maps every corner of B into the window, checked on I in integer
+    route of ``seqcore._chain``.  Each set keeps its filters' chains as
+    deep as renders have asked (``UnivariateQMFSet.refined``), so a
+    factor already built is read back, read-only, not run again; when
+    the route is taken, it is no longer than one side of the window.
+    With B their frame box, out(theta1 b) = f_1(b_1) ... f_s(b_s): each
+    f_j is read through a view over the box I of theta1 B whose element
+    strides are row j of theta1^-1, and the views are multiplied, in
+    order, into I's slice of the window, in the window's C order.  Cells
+    of I off theta1 B read a padded +0.0 and end +0.0, as in a zeroed
+    window.  Such cells lie only in the leading and trailing rows of I
+    along axis 0: the rows between, whose whole cross-section lies in
+    theta1 B (``_inner_rows``), take the plain product.  On the edge
+    rows +0.0 is added after the product, or, when an in-support product
+    can be 0, inf or NaN, only their cells of theta1 B are multiplied.
+    A window that is I, with as many cells as B (theta1 = I or a signed
+    permutation), is not zeroed first.  Returns None unless theta1 maps
+    every corner of B into the window, checked on I in integer
     tuples: a slice of the window past its edge would be clipped silently.
     """
-    factors = [_refine(uset.trimmed_filters[e], uset.dilation,
-                       uset.trimmed_filters[0], r - 1, cap)
-               for uset, e in zip(bank.sets, eta)]
+    factors = [uset.refined(e, r - 1, cap) for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
     hi = tuple(l + len(u.data) - 1 for l, u in zip(lo, factors))
     zero = ((0,) * bank.dim,) * 2
@@ -230,21 +241,57 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
         return np.ndarray(box.shape, padded.dtype, padded, size * (at[j] - starts[j]),
                           tuple(size * a for a in inverse.entries[j]))
     views = [along(j, u.data) for j, u in enumerate(factors)]
-    where, clear_signs = True, False
-    if box.size > cells:
+
+    def product(rows, where=True):  # the views' product over rows of I
+        part = box[rows]
+        np.multiply(views[0][rows], views[1][rows] if len(views) > 1 else 1.0,
+                    out=part, where=where)
+        for view in views[2:]:
+            np.multiply(part, view[rows], out=part, where=where)
+        return part
+
+    a, b = _inner_rows(inverse, image, (lo, hi))
+    product(slice(a, b))
+    edges = [rows for rows in (slice(0, a), slice(b, box.shape[0])) if rows.start < rows.stop]
+    if edges:
         # rounding is monotone: the products of each factor's least and
         # greatest magnitudes bound those of every cell of theta1 B
         mags = [np.abs(u.data) for u in factors]
         clear_signs = (0 < math.prod(float(m.min()) for m in mags)
                        and math.prod(float(m.max()) for m in mags) < math.inf)
-        where = clear_signs or np.logical_and.reduce([
-            along(j, np.ones(len(u.data), dtype=bool)) for j, u in enumerate(factors)])
-    np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=box, where=where)
-    for view in views[2:]:
-        np.multiply(box, view, out=box, where=where)
-    if clear_signs:
-        np.add(box, 0.0, out=box)
+        for rows in edges:
+            if clear_signs:
+                part = product(rows)
+                np.add(part, 0.0, out=part)
+            else:
+                product(rows, np.logical_and.reduce([
+                    along(j, np.ones(len(u.data), dtype=bool))[rows]
+                    for j, u in enumerate(factors)]))
     return out
+
+
+def _inner_rows(inverse: IntMatrix, image: Box, frame: Box) -> tuple[int, int]:
+    """The rows [a, b) of the box image, counted along axis 0 from its
+    first, whose whole cross-section inverse maps into the frame box.
+
+    Row t's cross-section maps into the frame box when, for each row
+    (c, rest) of inverse, c t plus the least and the greatest value of
+    rest over the cross-section's other axes stays inside the frame on
+    that axis: two integer bounds on t per row.  a == b when no row does.
+    """
+    (first, *others), (last, *ends) = image
+    low, high = _image_box(inverse, ((0, *others), (0, *ends)), ((0,) * len(image[0]),) * 2)
+    t_lo, t_hi = first, last
+    for (c, *_), l, h, f_lo, f_hi in zip(inverse.entries, low, high, *frame):
+        # f_lo <= c t + l and c t + h <= f_hi
+        if c > 0:
+            t_lo, t_hi = max(t_lo, -((l - f_lo) // c)), min(t_hi, (f_hi - h) // c)
+        elif c < 0:
+            t_lo, t_hi = max(t_lo, -((f_hi - h) // -c)), min(t_hi, (l - f_lo) // -c)
+        elif not (f_lo <= l and h <= f_hi):
+            return 0, 0
+    a = min(t_lo, last + 1) - first
+    return a, max(a, t_hi + 1 - first)
 
 
 def convergence_diagnostic(op: SubdivisionOp, r_max: int) -> list[float]:

@@ -348,12 +348,13 @@ class TestCliBank:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("edit", ["no-lowpass", "extra-index", "long-index",
-                                      "1-d-filter", "singular"])
+                                      "1-d-filter", "singular", "float-sigma"])
     @pytest.mark.parametrize("command", ["verify", "cascade"])
     def test_wrong_filter_set_exit_1(self, tmp_path, capsys, edit, command):
         """A bank file whose filters are not indexed by exactly
         Z_3 x Z_2, or hold a filter of another dimension, is malformed, and
-        so is a singular dilation with its zero diagonal."""
+        so is a singular dilation with its zero diagonal, and a sigma
+        entry that is not an integer (3.5 must not read as 3)."""
         path = str(tmp_path / "bank1.json")
         assert main(["bank", "build", "--xi", XI1_JSON, "--sigma", "3,2",
                      "--families", "cl3,db2", "-o", path]) == 0
@@ -369,6 +370,8 @@ class TestCliBank:
             zero, eye = [[0, 0], [0, 0]], [[1, 0], [0, 1]]
             data.update(xi={"dim": 2, "rows": zero}, sigma=[0, 0], filters={},
                         theta1={"dim": 2, "rows": eye}, theta2={"dim": 2, "rows": eye})
+        elif edit == "float-sigma":
+            data["sigma"] = [3.5, 2]
         else:
             filters["1,1"] = formats.coefseq_to_json(CoefSeq((0,), np.array([0.5, 0.5])))
         bad = str(tmp_path / "bad.json")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from anisowave.errors import (
     SingularMatrixError,
 )
 from anisowave.lattice import IntMatrix, inverse_unimodular
-from anisowave.seqcore import CoefSeq, Window, max_abs_diff
+from anisowave.seqcore import CoefSeq, Window, embed, max_abs_diff
 
 XI1 = IntMatrix.from_rows([[3, -1], [0, 2]])
 GAMMA1 = IntMatrix.from_rows([[1, -1], [0, 1]])
@@ -253,3 +254,56 @@ class TestSamplePolynomial:
         w = Window((0, 0), (2, 2))
         out = aw.sample_polynomial([(1.0, (1, 0)), (2.0, (0, 1))], w)
         assert out.value((1, 1)) == 3.0
+
+
+class TestMaxAbsDiff:
+    @staticmethod
+    def three_arrays(a, b):
+        """The oracle: both sequences embedded in their hull, then subtracted."""
+        lo = tuple(min(x, y) for x, y in zip(a.window.lo, b.window.lo))
+        hi = tuple(max(x, y) for x, y in zip(a.window.hi, b.window.hi))
+        return float(np.abs(embed(a, lo, hi) - embed(b, lo, hi)).max())
+
+    @pytest.mark.parametrize("origins", [((0, 0), (0, 0)), ((0, 0), (2, -3)),
+                                         ((-4, 1), (9, 12)), ((3, 3), (-1, -1))])
+    def test_equals_the_hull_difference(self, origins):
+        # overlapping, nested and disjoint boxes, signed zeros included
+        rng = np.random.RandomState(len(repr(origins)))
+        a = CoefSeq(origins[0], rng.randn(5, 7))
+        b = CoefSeq(origins[1], rng.randn(4, 3))
+        a.data[0, 0], b.data[-1, -1] = -0.0, -0.0
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = max_abs_diff(x, y)
+            assert got == self.three_arrays(x, y)
+            assert max_abs_diff(x, y) == got
+        assert a.data[0, 0] == 0.0 and np.signbit(a.data[0, 0])
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_nan_propagates(self, where):
+        rng = np.random.RandomState(1)
+        a = CoefSeq((0,), rng.randn(6))
+        b = CoefSeq((3,), rng.randn(6))
+        (a if where == "a" else b).data[4] = np.nan
+        assert math.isnan(max_abs_diff(a, b)) and math.isnan(max_abs_diff(b, a))
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.RandomState(2)
+        a = CoefSeq((0, 0), rng.randn(6, 6))
+        b = CoefSeq((1, 2), rng.randn(3, 3))
+        a.data.flags.writeable = b.data.flags.writeable = False
+        before = a.data.tobytes(), b.data.tobytes()
+        max_abs_diff(a, b)
+        max_abs_diff(a, a)
+        assert (a.data.tobytes(), b.data.tobytes()) == before
+
+    def test_one_hull_array(self):
+        a = CoefSeq((0, 0), np.ones((400, 400)))
+        b = CoefSeq((100, 100), np.ones((400, 400)))
+        hull_bytes = 500 * 500 * 8
+        tracemalloc.start()
+        try:
+            max_abs_diff(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hull_bytes <= peak < 1.5 * hull_bytes

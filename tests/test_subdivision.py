@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anisowave as aw
-from anisowave import seqcore, subdivision
+from anisowave import dictionary, seqcore, subdivision
 from anisowave.dictionary import reproduction_check, univariate_sets_from_names
 from anisowave.errors import GridMismatchError, GridTooLargeError, InconclusiveError
 from anisowave.lattice import IntMatrix, inverse_unimodular
@@ -807,3 +807,161 @@ class TestRenderSetUp:
             got = _matrix_power(xi, r)
             assert got == expect
             assert all(type(x) is int for row in got.entries for x in row)
+
+
+# -- refinement chains kept per univariate set ----------------------------------------
+
+def fresh_sets(bank):
+    """The bank with new set objects of the same filters: nothing kept yet."""
+    sets = tuple(aw.UnivariateQMFSet(u.scale, u.filters) for u in bank.sets)
+    return dataclasses.replace(bank, sets=sets)
+
+
+def count_chain_steps(monkeypatch):
+    """Record each iterate the sets' chains build, by (filter start, step)."""
+    steps = []
+    real = dictionary._chain
+
+    def counted(c, *args):
+        for k, step in enumerate(real(c, *args), start=1):
+            steps.append((id(c), k))
+            yield step
+
+    monkeypatch.setattr(dictionary, "_chain", counted)
+    return steps
+
+
+#: the renders of the store tests: Xi_0, Xi_1 and an s = 3 family member
+STORE_RENDERS = [("xi0", [[3, 0], [0, 2]], (3, 2), ("cl3", "db2"), 6),
+                 ("xi1", [[3, -1], [0, 2]], (3, 2), ("cl3", "db2"), 6),
+                 ("s3", [[3, 0, -1], [0, 3, 0], [0, 0, 2]], (3, 3, 2), ("cl3", "cl3", "db2"), 3)]
+
+
+class TestKeptChains:
+    @pytest.mark.parametrize("order", ["deepest-first", "shallowest-first"])
+    @pytest.mark.parametrize("name,rows,sigma,families,top", STORE_RENDERS,
+                             ids=[r[0] for r in STORE_RENDERS])
+    def test_warm_renders_equal_cold_ones(self, name, rows, sigma, families, top, order,
+                                          monkeypatch):
+        bank = aw.build_bank(IntMatrix.from_rows(rows), sigma,
+                             univariate_sets_from_names(families))
+        assert bank.frame
+        levels = list(range(1, top + 1))
+        if order == "deepest-first":
+            levels.reverse()
+        steps = count_chain_steps(monkeypatch)
+        warm = {}
+        for _ in range(2):  # the second sweep reads every factor from the store
+            for r in levels:
+                for eta in bank.indices():
+                    warm[eta, r] = aw.wavelet_samples(bank, eta, r)
+        # each filter's chain is built once, as deep as asked, and kept
+        sets = {id(u): u for u in bank.sets}.values()
+        assert len(steps) == sum(u.scale * (top - 1) for u in sets)
+        assert all(sorted(u.chains) == sorted(itertools.product(range(u.scale), range(1, top)))
+                   for u in sets)
+        for (eta, r), sf in warm.items():
+            cold = aw.wavelet_samples(fresh_sets(bank), eta, r)
+            assert cold.window == sf.window
+            assert cold.values.tobytes() == sf.values.tobytes(), (name, eta, r)
+
+    def test_hits_return_the_kept_iterate(self, monkeypatch):
+        uset = aw.chui_lian_ternary()
+        steps = count_chain_steps(monkeypatch)
+        deep = uset.refined(2, 4, subdivision.DEFAULT_CELL_CAP)
+        assert uset.refined(2, 4, subdivision.DEFAULT_CELL_CAP) is deep
+        assert uset.refined(2, 0, subdivision.DEFAULT_CELL_CAP) is uset.trimmed_filters[2]
+        assert sorted(uset.chains) == [(2, k) for k in range(1, 5)] and uset.chains[2, 4] is deep
+        assert len(steps) == 4
+        # a deeper request resumes from the last kept iterate
+        deeper = uset.refined(2, 6, subdivision.DEFAULT_CELL_CAP)
+        assert len(steps) == 6 and steps[-2:] == [(id(deep), 1), (id(deep), 2)]
+        expect = subdivision._refine(uset.trimmed_filters[2], uset.dilation,
+                                     uset.trimmed_filters[0], 6, subdivision.DEFAULT_CELL_CAP)
+        assert deeper.origin == expect.origin
+        assert deeper.data.tobytes() == expect.data.tobytes()
+        # the store is no field: equality ignores it
+        assert "chains" not in {f.name for f in dataclasses.fields(uset)}
+        copy = dataclasses.replace(uset)
+        assert copy == uset and "chains" not in vars(copy)
+
+    def test_kept_iterates_are_read_only(self, bank1):
+        aw.wavelet_samples(bank1, (2, 1), 5)
+        for uset in bank1.sets:
+            assert len(uset.chains) >= 4
+            for c in uset.chains.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    c.data[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    c.data += 0.0
+
+    @pytest.mark.parametrize("name", ["cl3", "db2"])
+    def test_cap_refuses_kept_steps_as_the_chain_does(self, name):
+        (uset,) = univariate_sets_from_names([name])
+        e = uset.scale - 1
+        start, mask = uset.trimmed_filters[e], uset.trimmed_filters[0]
+        lengths = [len(uset.refined(e, k, 10 ** 6).data) for k in range(1, 6)]
+        for k in range(1, 5):
+            cap = lengths[k - 1]
+            # a cap of step k's cells passes step k, kept or not ...
+            assert uset.refined(e, k, cap) is uset.chains[e, k]
+            # ... and refuses step k + 1 with the uncached chain's message
+            with pytest.raises(GridTooLargeError) as uncached:
+                subdivision._refine(start, uset.dilation, mask, 5, cap)
+            with pytest.raises(GridTooLargeError) as kept:
+                uset.refined(e, 5, cap)
+            assert str(kept.value) == str(uncached.value)
+            assert str(kept.value) == (f"refinement would need {lengths[k]} cells "
+                                       f"(cap {cap})")
+
+    def test_warm_render_refused_as_a_cold_one(self, monkeypatch):
+        bank = aw.build_bank(IntMatrix.from_rows([[3, -1], [0, 2]]), (3, 2),
+                             univariate_sets_from_names(["cl3", "db2"]))
+        for eta in bank.indices():
+            aw.wavelet_samples(bank, eta, 5)
+        for cap in ("500", "5000", "60000"):
+            monkeypatch.setenv("ANISO_CELL_CAP", cap)
+            for eta in bank.indices():
+                with pytest.raises(GridTooLargeError) as warm:
+                    aw.wavelet_samples(bank, eta, 5)
+                with pytest.raises(GridTooLargeError) as cold:
+                    aw.wavelet_samples(fresh_sets(bank), eta, 5)
+                assert str(warm.value) == str(cold.value)
+
+
+@st.composite
+def sheared_frames(draw):
+    """(theta1, frame box B, box I) for a unimodular theta1 in s = 1-3: I is
+    theta1's image box of B or a drawn box.  theta1 is a product of two
+    draws, so that theta1^-1 holds entries of magnitude 2 and more."""
+    s = draw(st.integers(1, 3))
+    theta1 = draw(unimodular(s)) @ draw(unimodular(s))
+    lo = [draw(st.integers(-4, 4)) for _ in range(s)]
+    hi = [l + draw(st.integers(0, 6)) for l in lo]
+    frame = (tuple(lo), tuple(hi))
+    if draw(st.booleans()):
+        return theta1, frame, _image_box(theta1, frame, ((0,) * s,) * 2)
+    lo = [draw(st.integers(-8, 8)) for _ in range(s)]
+    return theta1, frame, (tuple(lo), tuple(l + draw(st.integers(0, 8)) for l in lo))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheared_frames())
+# lower bounds on t that are not whole numbers, from rows of theta1^-1
+# whose first entries c are 2 and 5, and -2 and -5
+@example((IntMatrix.from_rows([[3, -1], [-5, 2]]), ((-2, -1), (2, 3)), ((0, -5), (4, -4))))
+@example((IntMatrix.from_rows([[2, -1], [5, -2]]), ((0, -2), (5, 4)), ((-1, 0), (2, 1))))
+def test_inner_rows_are_the_rows_inside_theta1_b(case):
+    theta1, frame, image = case
+    inverse = inverse_unimodular(theta1)
+    a, b = subdivision._inner_rows(inverse, image, frame)
+    # the oracle: every cell of each cross-section of I pulled back to the frame
+    inside = []
+    for t in range(image[0][0], image[1][0] + 1):
+        cells = itertools.product([t], *[range(l, h + 1) for l, h in zip(image[0][1:],
+                                                                       image[1][1:])])
+        inside.append(all(all(l <= x <= h for x, l, h in zip(inverse.apply(c), *frame))
+                          for c in cells))
+    rows = [i for i, full in enumerate(inside) if full]
+    assert list(range(a, b)) == rows
+    assert 0 <= a <= b <= len(inside)
