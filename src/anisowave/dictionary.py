@@ -97,8 +97,13 @@ class UnivariateQMFSet:
         ``seqcore._chain`` from the last.  Each is that chain's step bit
         for bit, as a chain's next step reads only the previous iterate.
         A kept step over cap cells is refused, as the chain refuses it
-        before building it, with the same message.
+        before building it, with the same message.  An e outside
+        range(scale) raises ``BadIndexError``, and steps < 0 ``ValueError``.
         """
+        if not 0 <= e < self.scale:
+            raise BadIndexError(f"no filter with index {e} (scale {self.scale})")
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
         kept, have = self.chains, steps
         while have and (e, have) not in kept:
             have -= 1

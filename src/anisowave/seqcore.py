@@ -40,13 +40,8 @@ in Python integers and refuses a step over the cell cap before it
 allocates.  Every subdivision pair, in a chain step or in a
 ``polyphase_subdivision`` call, picks its route by one rule
 (``_loops_mask``), and every add runs one strided-add loop
-(``_add_taps``).  The one exception is a chain step over
-the mask in one dimension with xi = sigma >= 2: it adds one row of the
-mask's polyphase matrix per coarse shift (``_phase_step``; Daubechies,
-*Ten Lectures on Wavelets*; Vaidyanathan, *Multirate Systems and Filter
-Banks*).  That route follows from xi's dimension and sign alone, and on
-finite data every iterate is bit for bit that of a loop of
-``polyphase_subdivision`` calls.
+(``_add_taps``), in any dimension, so every iterate is bit for bit that
+of a loop of ``polyphase_subdivision`` calls, NaN and inf included.
 
 Inside the library analysis also carries a stack of inputs: ``_analysis``
 takes an array whose last s axes lie on the lattice and whose leading
@@ -667,87 +662,27 @@ def _chain(c: CoefSeq, xi: IntMatrix, mask: CoefSeq, cap: int) -> Iterator[CoefS
     """The iterates c_1, c_2, ... of one subdivision scheme from c, without end.
 
     Each iterate is polyphase_subdivision([previous], xi, [mask]) bit for
-    bit (on finite data; see ``_phase_step``).  The mask is split once
-    for the whole chain, and each step's box is walked in Python
-    integers; a step whose box would hold more than cap cells raises
-    ``GridTooLargeError`` before anything is allocated.  A step takes
-    ``_loops_mask``'s route through ``_spread``, except that a step over
-    the mask in one dimension with xi = sigma >= 2 (each axis of a
-    tensor render) adds one row of the mask's polyphase matrix
-    M[nu, rho] = mask(h + sigma nu + rho), h the mask's origin, per
-    coarse shift nu (``_phase_rows``, ``_phase_step``), its box being
-    (sigma lo + h_lo, sigma hi + h_hi) in plain ints.  Negative 1-D
-    dilations and 2-D and 3-D chains add one tap at a time.  Iterates
-    wrap the kernel's own float64 C-contiguous arrays, unchecked.
+    bit.  The mask is split once for the whole chain, and each step's box
+    is walked in Python integers; a step whose box would hold more than
+    cap cells raises ``GridTooLargeError`` before anything is allocated.
+    Every step zeroes its box and adds into it by ``_loops_mask``'s
+    route through ``_spread``.  Iterates wrap the kernel's own float64
+    C-contiguous arrays, unchecked.
     """
     if not c.dim == mask.dim == xi.dim:
         raise DimMismatchError(f"dimensions {c.dim}, {mask.dim} and {xi.dim} differ")
-    s = xi.dim
     hull = _seq_box(mask)
-    count = np.count_nonzero(mask.data)
-    sigma = xi.entries[0][0]
-    phases = _phase_rows(mask.data, sigma) if s == 1 and sigma >= 2 else None
-    taps = _taps(mask.origin, mask.data) if phases is None else None
+    taps = _taps(mask.origin, mask.data)
     origin, data, box = c.origin, c.data, _seq_box(c)
     while True:
-        if phases is None:
-            box = _capped_image(xi, box, hull, cap)
-        else:
-            box = ((sigma * box[0][0] + hull[0][0],), (sigma * box[1][0] + hull[1][0],))
-            _refuse_over(box[1][0] - box[0][0] + 1, cap)
-        loops_mask = np.count_nonzero(data) >= count  # ``_loops_mask``, inlined
-        if loops_mask and phases is not None:
-            data = _phase_step(data, sigma, phases, len(mask.data))
-        else:
-            out = np.zeros(_box_shape(box))
-            _spread(out, box[0], xi, origin, data, mask, taps if loops_mask else None)
-            data = out
-        origin = box[0]
+        box = _capped_image(xi, box, hull, cap)
+        out = np.zeros(_box_shape(box))
+        _spread(out, box[0], xi, origin, data, mask,
+                taps if _loops_mask(data, len(taps[1])) else None)
+        origin, data = box[0], out
         step = object.__new__(CoefSeq)
         step.origin, step.data = origin, data
         yield step
-
-
-def _phase_rows(a: np.ndarray, sigma: int) -> list[tuple[int, np.ndarray]]:
-    """The polyphase matrix of a 1-D mask array a for dilation sigma.
-
-    M[nu, rho] = a[sigma nu + rho] for 0 <= rho < sigma, zero past the
-    end of a.  Returns the pairs (nu, M[nu]) of the rows that hold a
-    nonzero (NaN counts), in increasing nu.
-    """
-    m = np.zeros((-(-len(a) // sigma), sigma))
-    m.reshape(-1)[:len(a)] = a
-    return [(nu, m[nu]) for nu, row in enumerate((m != 0).tolist()) if any(row)]
-
-
-def _phase_step(data: np.ndarray, sigma: int, rows: list[tuple[int, np.ndarray]],
-                length: int) -> np.ndarray:
-    """One 1-D subdivision step by the kept rows (nu, M[nu]) of the
-    polyphase matrix M of a mask of the given length (``_phase_rows``).
-
-    With i counted from data's first cell and t from the mask's,
-    out(sigma i + t) sums a(t) data(i); writing t = sigma nu + rho,
-    out(sigma (i + nu) + rho) = sum_nu M[nu, rho] data(i).  The output
-    is zeroed as (n + height - 1, sigma) cells, M having height rows;
-    each kept row adds data times itself into rows nu .. nu + n - 1, and
-    the iterate is the first sigma (n - 1) + length cells (a contiguous
-    view, no copy).  The slack past it is under sigma cells.  Each
-    product is the ``data * w`` of ``_spread``, and each cell takes its
-    coset's taps in increasing order, so on finite data the result is
-    ``_spread``'s bit for bit: a zero entry of a kept row adds
-    data * 0.0, an exact no-op on an accumulator that starts at +0.0.
-    If data holds NaN or inf, those zero entries spread NaN into other
-    cosets; the iterate is not finite on either route.
-    """
-    n = len(data)
-    height = -(-length // sigma)
-    out = np.zeros((n + height - 1, sigma))
-    scaled = np.empty((n, sigma))
-    column = data[:, None]
-    for nu, w in rows:
-        target = out[nu:nu + n]
-        target += np.multiply(column, w, out=scaled)
-    return out.reshape(-1)[:sigma * (n - 1) + length]
 
 
 def qmf_residual(a: CoefSeq, xi: IntMatrix) -> float:

@@ -15,12 +15,11 @@ identity).  All else iterates the polyphase kernel on the full grid,
 
 Every iterate loop here, the 1-D cascades of the tensor route included,
 is one refinement chain of the kernel (``seqcore._chain``): it splits
-its mask once, and on finite data its iterates are bit for bit those of
-a loop of ``subdivide`` calls.  The 1-D cascades take the chain's
-polyphase route; the chains on the full grid add one tap at a time.
-Sets trim their filters and keep their filters' 1-D chains as deep as
-renders have asked; banks keep their frame fact and Smith
-factorizations theta1^-1, once.  ``subdivide`` stays the one-step API.
+its mask once, and its iterates are bit for bit those of a loop of
+``subdivide`` calls.  Sets trim their filters and keep their filters'
+1-D chains as deep as renders have asked; banks keep their frame fact
+and Smith factorizations theta1^-1, once.  ``subdivide`` stays the
+one-step API.
 The cell cap ANISO_CELL_CAP is read once per call, by ``_cell_cap``,
 and no step may build a grid of more cells.
 """
@@ -199,12 +198,12 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
     """The level-r iterate of filter eta over window, built in the Smith frame.
 
     Axis j runs the 1-D cascade f_j of filter eta_j of bank.sets[j] with
-    r-1 lowpass steps of dilation sigma_j: one refinement chain per axis,
-    from the sets' trimmed filters and dilations, on the 1-D polyphase
-    route of ``seqcore._chain``.  Each set keeps its filters' chains as
-    deep as renders have asked (``UnivariateQMFSet.refined``), so a
-    factor already built is read back, read-only, not run again; when
-    the route is taken, it is no longer than one side of the window.
+    r-1 lowpass steps of dilation sigma_j: one refinement chain per axis
+    (``seqcore._chain``), from the sets' trimmed filters and dilations.
+    Each set keeps its filters' chains as deep as renders have asked
+    (``UnivariateQMFSet.refined``), so a factor already built is read
+    back, read-only, not run again; when the route is taken, it is no
+    longer than one side of the window.
     With B their frame box, out(theta1 b) = f_1(b_1) ... f_s(b_s): each
     f_j is read through a view over the box I of theta1 B whose element
     strides are row j of theta1^-1, and the views are multiplied, in
