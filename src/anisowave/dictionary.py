@@ -21,6 +21,7 @@ from .errors import BadIndexError, ScaleMismatchError, WindowTooSmallError
 from .lattice import (
     IntMatrix,
     SmithFactorization,
+    _as_int,
     _integer_inverse,
     determinant,
     smith_with_target,
@@ -244,7 +245,8 @@ class AnisoFilterBank:
         return [eta for eta in self.indices() if any(eta)]
 
     def filter_at(self, eta: Sequence[int]) -> CoefSeq:
-        key = tuple(int(e) for e in eta)
+        """The filter of index eta; an entry that is not an integer is a ValueError."""
+        key = tuple(map(_as_int, eta))
         if key not in self.filters:
             raise BadIndexError(f"no filter with index {key}")
         return self.filters[key]

@@ -61,8 +61,11 @@ class IntMatrix:
 
     def __post_init__(self):
         rows = self.entries
-        if type(rows) is not tuple or not all(type(row) is tuple for row in rows):
-            rows = tuple(tuple(map(_as_int, row)) for row in rows)  # as ``from_rows``
+        # Python ints stay exact; any other entry (a float, a fixed-width
+        # numpy integer) is converted, as ``from_rows`` does
+        if type(rows) is not tuple or not all(
+                type(row) is tuple and all(type(x) is int for x in row) for row in rows):
+            rows = tuple(tuple(map(_as_int, row)) for row in rows)
             object.__setattr__(self, "entries", rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):

@@ -9,7 +9,8 @@ refinable limit functions of a dilation family.
 
 ``wavelet_samples`` renders a bank whose Smith factorization is a
 similarity (diagonal banks included) in its Smith frame, as a tensor
-product of 1-D cascades written once into the grid (the conjugation
+product of 1-D cascades written once into theta1's image box of their
+frame box, the only cells where it can be nonzero (the conjugation
 identity).  All else iterates the polyphase kernel on the full grid,
 ``conjugation_check`` included, so the identity stays checked.
 
@@ -77,8 +78,7 @@ class SubdivisionOp:
     def from_bank(cls, bank: AnisoFilterBank,
                   eta: Sequence[int] | None = None) -> "SubdivisionOp":
         """Operator of one bank filter (the lowpass by default)."""
-        key = (0,) * bank.dim if eta is None else tuple(int(e) for e in eta)
-        return cls(bank.xi, bank.filter_at(key))
+        return cls(bank.xi, bank.filter_at((0,) * bank.dim if eta is None else eta))
 
 
 def subdivide(op: SubdivisionOp, c: CoefSeq) -> CoefSeq:
@@ -152,26 +152,28 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
 
     One subdivision step with the eta filter followed by r-1 lowpass
     refinements; eta = 0 reproduces the scaling-function cascade.  The
-    window is the box those steps reach, and no step may exceed
-    ANISO_CELL_CAP cells.
+    kernel's window is the box those steps reach, and no step may exceed
+    ANISO_CELL_CAP cells; every sample outside the returned window is 0.
+    An index entry that is not an integer is a ValueError.
 
     Route: when the bank knows its sets and theta2 theta1 = I (the fact
     ``frame`` it keeps from its first render), every filter is
     g(theta1^-1 .) for a tensor filter g, and the iterate is the tensor
     product of one 1-D cascade per axis (scale sigma_j) composed with
-    theta1^-1.  The 1-D cascades are multiplied out once, straight into
-    the window's slice over the box of theta1's image of their support,
-    in the window's C order (``_tensor_samples``); only a render whose
-    image box is the window and every cell of it skips the zero fill.
+    theta1^-1.  It vanishes off the box I of theta1's image of their
+    frame box, and the window is I alone, inside the kernel's window:
+    the 1-D cascades are multiplied out once, straight into an array
+    over I, in its C order (``_tensor_samples``); only an I with as many
+    cells as the frame box skips the zero fill.
     Each univariate set keeps its filters' 1-D chains as deep as renders
     have asked, read-only, so a later render of any bank sharing the set
     reuses them; an iterate kept for this route is no longer than one
     side of the window that asked for it.
     The scaling function then matches ``cascade`` of the lowpass to
     rounding (~1e-15), not bit for bit.  Otherwise the r-1 steps run on
-    the full grid as one refinement chain: for non-similar banks, for
-    banks read without trustworthy sets, and if the tensor support would
-    not map into the window.
+    the kernel's window as one refinement chain: for non-similar banks,
+    for banks read without trustworthy sets, and if I would not lie
+    inside that window.
     ``conjugation_check`` never takes this route: it iterates the
     bank's scheme through the kernel, so the identity the route relies
     on stays checked rather than assumed.
@@ -186,16 +188,17 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
         hull = _seq_box(bank.lowpass)
         for _ in range(r - 1):
             box = _capped_image(bank.xi, box, hull, cap)
-        window = Window(*box)
-        values = _tensor_samples(bank, tuple(int(e) for e in eta), r, window, cap)
-        if values is not None:
-            return SampledFunction(r, total, window, values)
+        samples = _tensor_samples(bank, tuple(int(e) for e in eta), r, box, cap)
+        if samples is not None:
+            return _as_sampled(samples, r, total)
     return _as_sampled(_refine(c, bank.xi, bank.lowpass, r - 1, cap), r, total)
 
 
 def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
-                    window: Window, cap: int) -> np.ndarray | None:
-    """The level-r iterate of filter eta over window, built in the Smith frame.
+                    window: Box, cap: int) -> CoefSeq | None:
+    """The level-r iterate of filter eta over the box I of theta1's image
+    of its frame box, built in the Smith frame; None unless I lies inside
+    window, the box the kernel's iterate of the filter would fill.
 
     Axis j runs the 1-D cascade f_j of filter eta_j of bank.sets[j] with
     r-1 lowpass steps of dilation sigma_j: one refinement chain per axis
@@ -204,45 +207,52 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
     (``UnivariateQMFSet.refined``), so a factor already built is read
     back, read-only, not run again; when the route is taken, it is no
     longer than one side of the window.
-    With B their frame box, out(theta1 b) = f_1(b_1) ... f_s(b_s): each
-    f_j is read through a view over the box I of theta1 B whose element
-    strides are row j of theta1^-1, and the views are multiplied, in
-    order, into I's slice of the window, in the window's C order.  Cells
-    of I off theta1 B read a padded +0.0 and end +0.0, as in a zeroed
-    window.  Such cells lie only in the leading and trailing rows of I
-    along axis 0: the rows between, whose whole cross-section lies in
-    theta1 B (``_inner_rows``), take the plain product.  On the edge
-    rows +0.0 is added after the product, or, when an in-support product
-    can be 0, inf or NaN, only their cells of theta1 B are multiplied.
-    A window that is I, with as many cells as B (theta1 = I or a signed
-    permutation), is not zeroed first.  Returns None unless theta1 maps
-    every corner of B into the window, checked on I in integer
-    tuples: a slice of the window past its edge would be clipped silently.
+    With B their frame box, out(theta1 b) = f_1(b_1) ... f_s(b_s), and
+    every other sample is zero, so the iterate is returned over I alone.
+    Each f_j is read through a view over I whose element strides are row
+    j of theta1^-1; when that row ends in a negative entry, f_j is padded
+    in reverse and the strides are negated, so that every view reads
+    forward along I's rows.  The views are multiplied, in order, into an
+    array over I, in C order.  Cells of I off theta1 B read a padded +0.0
+    and end +0.0, as in a zeroed window, so I embedded with +0.0 into
+    window is the kernel's iterate to rounding.  Such cells lie only in
+    the leading and trailing rows of I along axis 0: the rows between,
+    whose whole cross-section lies in theta1 B (``_inner_rows``), take the
+    plain product.  On the edge rows +0.0 is added after the product, or,
+    when an in-support product can be 0, inf or NaN, only their cells of
+    theta1 B are multiplied.  An I with as many cells as B (theta1 = I or
+    a signed permutation) is not zeroed first.  The containment test runs
+    on I in integer tuples; it fails for sets whose cascades reach past
+    the bank's own filters, which are then rendered by the kernel.
     """
     factors = [uset.refined(e, r - 1, cap) for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
     hi = tuple(l + len(u.data) - 1 for l, u in zip(lo, factors))
     zero = ((0,) * bank.dim,) * 2
     image = _image_box(bank.fact.theta1, (lo, hi), zero)
-    if not all(a <= b for a, b in zip(window.lo + image[1], image[0] + window.hi)):
+    if not all(a <= b for a, b in zip(window[0] + image[1], image[0] + window[1])):
         return None
-    cells = math.prod(len(u.data) for u in factors)
-    full = image == (window.lo, window.hi) and window.cells == cells
-    out = (np.empty if full else np.zeros)(window.shape)
-    box = out[tuple(slice(a - w, b - w + 1) for a, b, w in zip(*image, window.lo))]
+    shape = _box_shape(image)
+    full = math.prod(shape) == math.prod(len(u.data) for u in factors)
+    out = (np.empty if full else np.zeros)(shape)
     inverse = bank.fact.theta1_inverse
     (starts, stops), at = _image_box(inverse, image, zero), inverse.apply(image[0])
 
     def along(j, values):  # f_j's view over I, zero (False) off its support
-        padded = np.zeros(stops[j] - starts[j] + 1, dtype=values.dtype)
-        padded[lo[j] - starts[j]:hi[j] - starts[j] + 1] = values
+        row, n = inverse.entries[j], stops[j] - starts[j] + 1
+        first, offset = lo[j] - starts[j], at[j] - starts[j]
+        if row[-1] < 0:  # stored reversed, so that the view reads forward along I's rows
+            values, row = values[::-1], tuple(-a for a in row)
+            first, offset = n - len(values) - first, n - 1 - offset
+        padded = np.zeros(n, dtype=values.dtype)
+        padded[first:first + len(values)] = values
         size = padded.itemsize
-        return np.ndarray(box.shape, padded.dtype, padded, size * (at[j] - starts[j]),
-                          tuple(size * a for a in inverse.entries[j]))
+        return np.ndarray(shape, padded.dtype, padded, size * offset,
+                          tuple(size * a for a in row))
     views = [along(j, u.data) for j, u in enumerate(factors)]
 
     def product(rows, where=True):  # the views' product over rows of I
-        part = box[rows]
+        part = out[rows]
         np.multiply(views[0][rows], views[1][rows] if len(views) > 1 else 1.0,
                     out=part, where=where)
         for view in views[2:]:
@@ -251,7 +261,7 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
 
     a, b = _inner_rows(inverse, image, (lo, hi))
     product(slice(a, b))
-    edges = [rows for rows in (slice(0, a), slice(b, box.shape[0])) if rows.start < rows.stop]
+    edges = [rows for rows in (slice(0, a), slice(b, shape[0])) if rows.start < rows.stop]
     if edges:
         # rounding is monotone: the products of each factor's least and
         # greatest magnitudes bound those of every cell of theta1 B
@@ -266,7 +276,7 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
                 product(rows, np.logical_and.reduce([
                     along(j, np.ones(len(u.data), dtype=bool))[rows]
                     for j, u in enumerate(factors)]))
-    return out
+    return CoefSeq(image[0], out)
 
 
 def _inner_rows(inverse: IntMatrix, image: Box, frame: Box) -> tuple[int, int]:

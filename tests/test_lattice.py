@@ -287,13 +287,22 @@ class TestListRows:
         assert all(type(x) is int for row in m.entries for x in row)
 
     def test_integral_entries_of_any_type(self):
-        m = IntMatrix([np.array([3, -1]), [0.0, 2]])
-        assert m == XI1 and all(type(x) is int for row in m.entries for x in row)
+        for rows in ([np.array([3, -1]), [0.0, 2]], ((3.0, np.int64(-1)), (0, 2))):
+            m = IntMatrix(rows)
+            assert m == XI1 and all(type(x) is int for row in m.entries for x in row)
 
-    @pytest.mark.parametrize("rows", [[[3, 0.5], [0, 2]], [[3, 0], ["2", 1]]])
+    @pytest.mark.parametrize("rows", [[[3, 0.5], [0, 2]], [[3, 0], ["2", 1]],
+                                      ((3.5, 0), (0, 2))])
     def test_non_integral_entry_refused(self, rows):
         with pytest.raises(ValueError):
             IntMatrix(rows)
+
+    def test_fixed_width_entries_stay_exact(self):
+        # np.int64 products would wrap past 2**63 in the determinant
+        big = np.int64(3_100_000_000)
+        m = IntMatrix(((big, np.int64(1)), (np.int64(0), big)))
+        assert all(type(x) is int for row in m.entries for x in row)
+        assert aw.determinant(m) == 9_610_000_000_000_000_000
 
     def test_smith_factorization(self):
         got = aw.smith_normal_form(IntMatrix([[3, -1], [0, 2]]))

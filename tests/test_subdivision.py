@@ -131,6 +131,15 @@ class TestWaveletSamples:
         assert np.all(vals.data[:half, half:] == -1.0)
         assert np.all(vals.data[half:, half:] == 1.0)
 
+    def test_non_integer_index_refused(self, bank1):
+        # each used to truncate to a filter: (1, 1), psi(2, 1) and the lowpass
+        for call in (lambda: bank1.filter_at((1, 1.5)),
+                     lambda: aw.wavelet_samples(bank1, (2.9, 1), 3),
+                     lambda: SubdivisionOp.from_bank(bank1, (0.7, 0))):
+            with pytest.raises(ValueError, match="not an integer"):
+                call()
+        assert bank1.filter_at((np.int64(2), 1.0)) is bank1.filters[(2, 1)]
+
     def test_renders_all_indices(self, bank1):
         for eta in bank1.indices():
             sf = aw.wavelet_samples(bank1, eta, 3)
@@ -245,12 +254,23 @@ def kernel_samples(bank, eta, r):
     return c
 
 
+def embedded(sf, window):
+    """The samples embedded with +0.0 into window, which must hold sf.window."""
+    assert all(a <= b for a, b in zip(window.lo + sf.window.hi, sf.window.lo + window.hi))
+    out = np.zeros(window.shape)
+    out[tuple(slice(a - w, b - w + 1) for a, b, w in zip(sf.window.lo, sf.window.hi,
+                                                         window.lo))] = sf.values
+    return out
+
+
 def assert_matches_kernel(bank, eta, r):
+    # a frame render holds theta1's image box alone, and every kernel sample
+    # outside it must be zero; a kernel render holds the kernel's window
     sf = aw.wavelet_samples(bank, eta, r)
     expect = kernel_samples(bank, eta, r)
-    assert sf.window == expect.window
+    assert sf.window == (frame_window(bank, eta, r) if bank.frame else expect.window)
     assert sf.xi_total == _matrix_power(bank.xi, r)
-    gap = float(np.abs(sf.values - expect.data).max())
+    gap = float(np.abs(embedded(sf, expect.window) - expect.data).max())
     assert gap <= 1e-13 * expect.linf(), f"xi {bank.xi.entries}, eta {eta}, r {r}"
 
 
@@ -258,19 +278,37 @@ def assert_matches_kernel(bank, eta, r):
 RENDER_CELLS = 4_000_000
 
 
-def render_cells(bank, eta, r):
-    """Cells of the level-r window of filter eta, by box arithmetic alone."""
+def kernel_window(bank, eta, r):
+    """The level-r window of filter eta on the kernel route, by box arithmetic alone."""
     window = bank.filter_at(eta).window
     for _ in range(r - 1):
         window = Window(*_image_box(bank.xi, window, bank.lowpass.window))
-    return window.cells
+    return window
+
+
+def render_cells(bank, eta, r):
+    """Cells of the level-r kernel window of filter eta."""
+    return kernel_window(bank, eta, r).cells
+
+
+def frame_window(bank, eta, r):
+    """The oracle: the box of theta1's image of the corners of the frame box
+    of the render's 1-D factors, each side by 1-D box arithmetic."""
+    sides = []
+    for uset, e in zip(bank.sets, eta):
+        side = uset.trimmed_filters[e].window
+        for _ in range(r - 1):
+            side = Window(*_image_box(uset.dilation, side, uset.trimmed_filters[0].window))
+        sides.append((side.lo[0], side.hi[0]))
+    corners = np.array(list(itertools.product(*sides))) @ np.array(bank.fact.theta1.entries).T
+    return Window(tuple(corners.min(axis=0).tolist()), tuple(corners.max(axis=0).tolist()))
 
 
 def renders_in_frame(bank, eta, r):
     """Whether wavelet_samples takes the tensor route for this render."""
     window = kernel_samples(bank, eta, r).window
     return (bank.frame
-            and subdivision._tensor_samples(bank, tuple(eta), r, window,
+            and subdivision._tensor_samples(bank, tuple(eta), r, (window.lo, window.hi),
                                             subdivision.DEFAULT_CELL_CAP) is not None)
 
 
@@ -323,6 +361,16 @@ def test_tensor_route_matches_kernel(bank, data):
     eta, r = draw_render(bank, data)
     assert renders_in_frame(bank, eta, r)
     assert_matches_kernel(bank, eta, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(similarity_banks(), st.data())
+def test_frame_render_window_is_theta1_image_box(bank, data):
+    eta, r = draw_render(bank, data)
+    window = aw.wavelet_samples(bank, eta, r).window
+    kernel = kernel_window(bank, eta, r)
+    assert window == frame_window(bank, eta, r)
+    assert all(a <= b for a, b in zip(kernel.lo + window.hi, window.lo + kernel.hi))
 
 
 def subdivide_loop_render(bank, eta, r, window):
@@ -395,10 +443,26 @@ def test_named_renders_are_the_product_of_subdivide_loops(make):
 
 
 def test_level_7_render_is_the_product_of_subdivide_loops(bank1):
-    # a 11643 x 382 window, past the cells the drawn renders may reach
+    # an 11643 x 382 kernel window, past the cells the drawn renders may
+    # reach; the render holds theta1's 5847 x 382 image box of it
+    assert render_cells(bank1, (0, 0), 7) > RENDER_CELLS
     sf = aw.wavelet_samples(bank1, (0, 0), 7)
-    assert sf.window.cells > RENDER_CELLS
+    assert sf.window.shape == (5847, 382)
     assert sf.values.tobytes() == subdivide_loop_render(bank1, (0, 0), 7, sf.window).tobytes()
+
+
+def test_level_7_render_allocates_theta1_image_box_alone(bank1):
+    # the kernel window is 11643 x 382 cells (33.9 MiB); theta1's image box
+    # of the factors' frame box is 5847 x 382 (17.0 MiB)
+    image = frame_window(bank1, (0, 0), 7)
+    tracemalloc.start()
+    try:
+        sf = aw.wavelet_samples(bank1, (0, 0), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sf.window == image
+    assert peak <= 1.1 * image.cells * 8
 
 
 def test_tensor_route_matches_kernel_wide_shear():
