@@ -53,9 +53,11 @@ class UnivariateQMFSet:
 
     A set works out its render facts once and keeps them, none as a
     field, so equality ignores them: its trimmed filters, its 1-D
-    dilation, and each filter's refinement chain as deep as renders have
-    asked (``refined``).  The kept iterates are read-only; one kept for
-    a tensor render is no longer than one side of that render's window.
+    dilation, and each filter's refinement chain as deep as renders of
+    2-D and 3-D banks have asked (``refined``; a 1-D bank's render is its
+    one factor and keeps none).  The kept iterates are read-only; one
+    kept for a tensor render is no longer than one side of that render's
+    window.
     """
 
     scale: int

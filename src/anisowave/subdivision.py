@@ -18,11 +18,12 @@ Every iterate loop here, the 1-D cascades of the tensor route included,
 is one refinement chain of the kernel (``seqcore._chain``): it splits
 its mask once, and its iterates are bit for bit those of a loop of
 ``subdivide`` calls.  Sets trim their filters and keep their filters'
-1-D chains as deep as renders have asked; banks keep their frame fact
-and Smith factorizations theta1^-1, once.  ``subdivide`` stays the
-one-step API.
+1-D chains as deep as 2-D and 3-D renders have asked; banks keep their
+frame fact and Smith factorizations theta1^-1, once.  ``subdivide``
+stays the one-step API.
 The cell cap ANISO_CELL_CAP is read once per call, by ``_cell_cap``,
-and no step may build a grid of more cells.
+and no step may build a grid of more cells; a frame render's grid is
+theta1's image box, not the kernel's window.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .seqcore import (
     _chain,
     _check_dilation,
     _image_box,
+    _refuse_over,
     _seq_box,
     _taps,
     delta,
@@ -152,9 +154,9 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
 
     One subdivision step with the eta filter followed by r-1 lowpass
     refinements; eta = 0 reproduces the scaling-function cascade.  The
-    kernel's window is the box those steps reach, and no step may exceed
-    ANISO_CELL_CAP cells; every sample outside the returned window is 0.
-    An index entry that is not an integer is a ValueError.
+    kernel's window is the box those steps reach; every sample outside
+    the returned window is 0.  An index entry that is not an integer is
+    a ValueError.
 
     Route: when the bank knows its sets and theta2 theta1 = I (the fact
     ``frame`` it keeps from its first render), every filter is
@@ -163,17 +165,23 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
     theta1^-1.  It vanishes off the box I of theta1's image of their
     frame box, and the window is I alone, inside the kernel's window:
     the 1-D cascades are multiplied out once, straight into an array
-    over I, in its C order (``_tensor_samples``); only an I with as many
-    cells as the frame box skips the zero fill.
+    over I, in its C order (``_tensor_samples``).  The kernel's window
+    is walked in integers for that containment test alone; the cell cap
+    ANISO_CELL_CAP bounds I, checked before I is allocated, and each 1-D
+    cascade's steps.  I is zero-filled only when an edge row takes the
+    masked product (a factor holds an exact zero, inf or NaN); otherwise
+    every cell is written: the first factor is copied in, and each
+    further factor multiplies it in place, in axis order.
     Each univariate set keeps its filters' 1-D chains as deep as renders
-    have asked, read-only, so a later render of any bank sharing the set
-    reuses them; an iterate kept for this route is no longer than one
-    side of the window that asked for it.
+    of 2-D and 3-D banks have asked, read-only, so a later render of any
+    bank sharing the set reuses them; an iterate kept for this route is
+    no longer than one side of the window that asked for it.  A 1-D
+    bank's render is its one factor, so it keeps nothing.
     The scaling function then matches ``cascade`` of the lowpass to
     rounding (~1e-15), not bit for bit.  Otherwise the r-1 steps run on
-    the kernel's window as one refinement chain: for non-similar banks,
-    for banks read without trustworthy sets, and if I would not lie
-    inside that window.
+    the kernel's window as one refinement chain, and no step may exceed
+    ANISO_CELL_CAP cells: for non-similar banks, for banks read without
+    trustworthy sets, and if I would not lie inside that window.
     ``conjugation_check`` never takes this route: it iterates the
     bank's scheme through the kernel, so the identity the route relies
     on stays checked rather than assumed.
@@ -187,7 +195,7 @@ def wavelet_samples(bank: AnisoFilterBank, eta: Sequence[int], r: int) -> Sample
         box = _seq_box(c)
         hull = _seq_box(bank.lowpass)
         for _ in range(r - 1):
-            box = _capped_image(bank.xi, box, hull, cap)
+            box = _image_box(bank.xi, box, hull)
         samples = _tensor_samples(bank, tuple(int(e) for e in eta), r, box, cap)
         if samples is not None:
             return _as_sampled(samples, r, total)
@@ -198,34 +206,45 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
                     window: Box, cap: int) -> CoefSeq | None:
     """The level-r iterate of filter eta over the box I of theta1's image
     of its frame box, built in the Smith frame; None unless I lies inside
-    window, the box the kernel's iterate of the filter would fill.
+    window, the box the kernel's iterate of the filter would fill.  An I
+    of more than cap cells is refused before it is allocated.
 
     Axis j runs the 1-D cascade f_j of filter eta_j of bank.sets[j] with
     r-1 lowpass steps of dilation sigma_j: one refinement chain per axis
-    (``seqcore._chain``), from the sets' trimmed filters and dilations.
+    (``seqcore._chain``), from the sets' trimmed filters and dilations,
+    each step refused over cap cells.
     Each set keeps its filters' chains as deep as renders have asked
     (``UnivariateQMFSet.refined``), so a factor already built is read
     back, read-only, not run again; when the route is taken, it is no
-    longer than one side of the window.
+    longer than one side of the window.  A 1-D bank's I is its one
+    factor, so its chain is run and not kept.
     With B their frame box, out(theta1 b) = f_1(b_1) ... f_s(b_s), and
     every other sample is zero, so the iterate is returned over I alone.
     Each f_j is read through a view over I whose element strides are row
     j of theta1^-1; when that row ends in a negative entry, f_j is padded
     in reverse and the strides are negated, so that every view reads
-    forward along I's rows.  The views are multiplied, in order, into an
-    array over I, in C order.  Cells of I off theta1 B read a padded +0.0
-    and end +0.0, as in a zeroed window, so I embedded with +0.0 into
-    window is the kernel's iterate to rounding.  Such cells lie only in
-    the leading and trailing rows of I along axis 0: the rows between,
-    whose whole cross-section lies in theta1 B (``_inner_rows``), take the
-    plain product.  On the edge rows +0.0 is added after the product, or,
-    when an in-support product can be 0, inf or NaN, only their cells of
-    theta1 B are multiplied.  An I with as many cells as B (theta1 = I or
-    a signed permutation) is not zeroed first.  The containment test runs
-    on I in integer tuples; it fails for sets whose cascades reach past
-    the bank's own filters, which are then rendered by the kernel.
+    forward along I's rows.  The first view is copied into an array over
+    I, in C order, and each further view multiplies it in place, in axis
+    order: every cell is the same IEEE product as f_1 ... f_s multiplied
+    left to right, -0.0 included.  Cells of I off theta1 B read a padded
+    +0.0 and end +0.0, as in a zeroed window, so I embedded with +0.0
+    into window is the kernel's iterate to rounding.  Such cells lie
+    only in the leading and trailing rows of I along axis 0: the rows
+    between, whose whole cross-section lies in theta1 B (``_inner_rows``),
+    take the plain product.  On the edge rows +0.0 is added after the
+    product, or, when an in-support product can be 0, inf or NaN, only
+    their cells of theta1 B are written (the where= mask), and only then
+    is I zero-filled first; otherwise the products write every cell.
+    The containment test runs on I in integer tuples; it fails for sets
+    whose cascades reach past the bank's own filters, which are then
+    rendered by the kernel.
     """
-    factors = [uset.refined(e, r - 1, cap) for uset, e in zip(bank.sets, eta)]
+    if bank.dim == 1:  # I is the factor itself: a kept iterate would outlive the render
+        (uset,), (e,) = bank.sets, eta
+        factors = [_refine(uset.trimmed_filters[e], uset.dilation,
+                           uset.trimmed_filters[0], r - 1, cap)]
+    else:
+        factors = [uset.refined(e, r - 1, cap) for uset, e in zip(bank.sets, eta)]
     lo = tuple(u.origin[0] for u in factors)
     hi = tuple(l + len(u.data) - 1 for l, u in zip(lo, factors))
     zero = ((0,) * bank.dim,) * 2
@@ -233,10 +252,19 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
     if not all(a <= b for a, b in zip(window[0] + image[1], image[0] + window[1])):
         return None
     shape = _box_shape(image)
-    full = math.prod(shape) == math.prod(len(u.data) for u in factors)
-    out = (np.empty if full else np.zeros)(shape)
+    _refuse_over(math.prod(shape), cap)
     inverse = bank.fact.theta1_inverse
     (starts, stops), at = _image_box(inverse, image, zero), inverse.apply(image[0])
+    a, b = _inner_rows(inverse, image, (lo, hi))
+    edges = [rows for rows in (slice(0, a), slice(b, shape[0])) if rows.start < rows.stop]
+    masked = False
+    if edges:
+        # rounding is monotone: the products of each factor's least and
+        # greatest magnitudes bound those of every cell of theta1 B
+        mags = [np.abs(u.data) for u in factors]
+        masked = not (0 < math.prod(float(m.min()) for m in mags)
+                      and math.prod(float(m.max()) for m in mags) < math.inf)
+    out = (np.zeros if masked else np.empty)(shape)
 
     def along(j, values):  # f_j's view over I, zero (False) off its support
         row, n = inverse.entries[j], stops[j] - starts[j] + 1
@@ -251,31 +279,22 @@ def _tensor_samples(bank: AnisoFilterBank, eta: tuple[int, ...], r: int,
                           tuple(size * a for a in row))
     views = [along(j, u.data) for j, u in enumerate(factors)]
 
-    def product(rows, where=True):  # the views' product over rows of I
+    def product(rows, where=True):  # the views' product over rows of I, in place
         part = out[rows]
-        np.multiply(views[0][rows], views[1][rows] if len(views) > 1 else 1.0,
-                    out=part, where=where)
-        for view in views[2:]:
+        np.copyto(part, views[0][rows], where=where)
+        for view in views[1:]:
             np.multiply(part, view[rows], out=part, where=where)
         return part
 
-    a, b = _inner_rows(inverse, image, (lo, hi))
     product(slice(a, b))
-    edges = [rows for rows in (slice(0, a), slice(b, shape[0])) if rows.start < rows.stop]
-    if edges:
-        # rounding is monotone: the products of each factor's least and
-        # greatest magnitudes bound those of every cell of theta1 B
-        mags = [np.abs(u.data) for u in factors]
-        clear_signs = (0 < math.prod(float(m.min()) for m in mags)
-                       and math.prod(float(m.max()) for m in mags) < math.inf)
-        for rows in edges:
-            if clear_signs:
-                part = product(rows)
-                np.add(part, 0.0, out=part)
-            else:
-                product(rows, np.logical_and.reduce([
-                    along(j, np.ones(len(u.data), dtype=bool))[rows]
-                    for j, u in enumerate(factors)]))
+    for rows in edges:
+        if masked:
+            product(rows, np.logical_and.reduce([
+                along(j, np.ones(len(u.data), dtype=bool))[rows]
+                for j, u in enumerate(factors)]))
+        else:
+            part = product(rows)
+            np.add(part, 0.0, out=part)
     return CoefSeq(image[0], out)
 
 

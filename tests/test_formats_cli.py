@@ -543,6 +543,26 @@ class TestCliCascade:
         assert main(["cascade", bank_file, "-r", "6",
                      "-o", str(tmp_path / "big")]) == 3
 
+    @pytest.mark.parametrize("xi, sigma, families, r, cells, passing", [
+        # Xi_1's level-7 scaling function allocates theta1's 5847 x 382
+        # image box, not the 4447626-cell window the kernel would fill
+        (XI1_JSON, "3,2", "cl3,db2", "7", 2233554, 3000000),
+        # a composed-branch bank is capped at each kernel step
+        ("[[2,2],[0,2]]", "2,2", "db2,db2", "5", 36472, 36472),
+    ], ids=["frame", "kernel"])
+    def test_cell_cap_bounds_the_allocated_grid(self, tmp_path, monkeypatch, capsys, xi, sigma,
+                                                families, r, cells, passing):
+        bank = str(tmp_path / "bank.json")
+        assert main(["bank", "build", "--xi", xi, "--sigma", sigma, "--families", families,
+                     "-o", bank]) == 0
+        command = ["cascade", bank, "-r", r, "--filter", "0", "-o"]
+        monkeypatch.setenv("ANISO_CELL_CAP", str(passing))
+        assert main(command + [str(tmp_path / "passed")]) == 0
+        monkeypatch.setenv("ANISO_CELL_CAP", str(cells - 1))
+        capsys.readouterr()
+        assert main(command + [str(tmp_path / "refused")]) == 3
+        assert f"refinement would need {cells} cells (cap {cells - 1})" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["1e8", "-5", "abc", "0", ""])
     def test_bad_cell_cap_exit_1(self, bank_file, tmp_path, monkeypatch, capsys, cap):
         monkeypatch.setenv("ANISO_CELL_CAP", cap)

@@ -442,6 +442,49 @@ def test_named_renders_are_the_product_of_subdivide_loops(make):
     assert (negative_zeros > 0) == (make is stretched_haar_bank)
 
 
+class NaNEmpty:
+    """numpy as ``subdivision`` sees it, except that ``empty`` returns a
+    NaN-filled array: a cell that a render leaves unwritten reads NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+
+def assert_writes_every_cell(bank, eta, r):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subdivision, "np", NaNEmpty())
+        sf = aw.wavelet_samples(bank, eta, r)
+    assert sf.values.tobytes() == subdivide_loop_render(bank, eta, r, sf.window).tobytes(), \
+        (bank.xi.entries, eta, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(similarity_banks(), st.data())
+def test_tensor_route_writes_every_cell(bank, data):
+    eta, r = draw_render(bank, data)
+    assert_writes_every_cell(bank, eta, r)
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda: aw.build_bank(IntMatrix.diagonal([3, 2]), (3, 2),
+                           univariate_sets_from_names(["cl3", "db2"])), 7),
+    (lambda: aw.build_bank(IntMatrix.from_rows([[3, -1], [0, 2]]), (3, 2),
+                           univariate_sets_from_names(["cl3", "db2"])), 7),
+    (family_member_bank, 4), (rotated_bank, 5), (stretched_haar_bank, 4)],
+    ids=["xi0", "xi1", "s3", "rotated", "stretched-haar"])
+def test_named_renders_write_every_cell(make, top):
+    # only the stretched Haar bank's edge rows take the masked product,
+    # whose cells off theta1 B are never written: its box must be zeroed
+    bank = make()
+    for r in range(1, top + 1):
+        for eta in bank.indices():
+            assert_writes_every_cell(bank, eta, r)
+
+
 def test_level_7_render_is_the_product_of_subdivide_loops(bank1):
     # an 11643 x 382 kernel window, past the cells the drawn renders may
     # reach; the render holds theta1's 5847 x 382 image box of it
@@ -515,6 +558,33 @@ class TestTensorRoute:
         aw.wavelet_samples(bank1, (0, 0), 2)
         with pytest.raises(GridTooLargeError):
             aw.wavelet_samples(bank1, (0, 0), 6)
+
+    def test_cell_cap_bounds_theta1_image_box(self, bank1, monkeypatch):
+        # Xi_1's level-7 scaling function allocates theta1's 5847 x 382 image
+        # box, not the 11643 x 382 window the kernel would fill
+        assert render_cells(bank1, (0, 0), 7) == 4_447_626
+        monkeypatch.setenv("ANISO_CELL_CAP", "3000000")
+        assert aw.wavelet_samples(bank1, (0, 0), 7).window.shape == (5847, 382)
+        monkeypatch.setenv("ANISO_CELL_CAP", "2233553")
+        with pytest.raises(GridTooLargeError) as refused:
+            aw.wavelet_samples(bank1, (0, 0), 7)
+        assert str(refused.value) == "refinement would need 2233554 cells (cap 2233553)"
+
+    def test_kernel_route_cell_cap_bounds_each_step(self, bank1, sets, monkeypatch):
+        # a composed-branch bank, and sets reaching past the bank's filters
+        composed = aw.build_bank(IntMatrix.from_rows([[2, 2], [0, 2]]), (2, 2),
+                                 univariate_sets_from_names(["db2", "db2"]))
+        narrow = aw.build_bank(bank1.xi, (3, 2), (sets[0], aw.haar()))
+        wide = aw.AnisoFilterBank(bank1.xi, bank1.fact, bank1.sigma, narrow.filters, bank1.sets)
+        for bank in (composed, wide):
+            assert not renders_in_frame(bank, (0, 0), 5)
+            cells = render_cells(bank, (0, 0), 5)
+            monkeypatch.setenv("ANISO_CELL_CAP", str(cells))
+            assert aw.wavelet_samples(bank, (0, 0), 5).window.cells == cells
+            monkeypatch.setenv("ANISO_CELL_CAP", str(cells - 1))
+            with pytest.raises(GridTooLargeError) as refused:
+                aw.wavelet_samples(bank, (0, 0), 5)
+            assert str(refused.value) == f"refinement would need {cells} cells (cap {cells - 1})"
 
     def test_conjugation_check_runs_the_kernel(self, bank0, bank1, monkeypatch):
         # the bank's side of the identity is iterated, not rebuilt from it
@@ -894,10 +964,13 @@ class TestKeptChains:
             for r in levels:
                 for eta in bank.indices():
                     warm[eta, r] = aw.wavelet_samples(bank, eta, r)
-        # each filter's chain is built once, as deep as asked, and kept
+        # each filter's chain of a 2-D or 3-D bank is built once, as deep as
+        # asked, and kept; a 1-D bank's render is its factor and keeps nothing
         sets = {id(u): u for u in bank.sets}.values()
-        assert len(steps) == sum(u.scale * (top - 1) for u in sets)
-        assert all(sorted(u.chains) == sorted(itertools.product(range(u.scale), range(1, top)))
+        kept = bank.dim > 1
+        assert len(steps) == (sum(u.scale * (top - 1) for u in sets) if kept else 0)
+        assert all(sorted(u.chains) == (sorted(itertools.product(range(u.scale), range(1, top)))
+                                        if kept else [])
                    for u in sets)
         for (eta, r), sf in warm.items():
             cold = aw.wavelet_samples(fresh_sets(bank), eta, r)
@@ -953,6 +1026,22 @@ class TestKeptChains:
             assert str(kept.value) == (f"refinement would need {lengths[k]} cells "
                                        f"(cap {cap})")
 
+    def test_1d_render_keeps_no_iterate(self):
+        # a level-20 render of [[2]] (db2) is a 3.1 M-cell, 24 MiB window;
+        # the chain that built it, 48 MiB over 19 steps, is not kept
+        bank = aw.build_bank(IntMatrix.from_rows([[2]]), (2,),
+                             univariate_sets_from_names(["db2"]))
+        tracemalloc.start()
+        try:
+            sf = aw.wavelet_samples(bank, (0,), 20)
+            assert sf.values.nbytes > 20 * 2 ** 20
+            del sf
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert bank.sets[0].chains == {}
+        assert held < 2 ** 20
+
     def test_refuses_a_bad_filter_or_step_count(self):
         uset = aw.chui_lian_ternary()
         with pytest.raises(ValueError, match="steps must be >= 0"):
@@ -967,7 +1056,9 @@ class TestKeptChains:
                              univariate_sets_from_names(["cl3", "db2"]))
         for eta in bank.indices():
             aw.wavelet_samples(bank, eta, 5)
-        for cap in ("500", "5000", "60000"):
+        # 500 refuses a cl3 factor's chain (606 cells) or else theta1's image
+        # box; 5000 and 40000 refuse every image box (42864 or 65706 cells)
+        for cap in ("500", "5000", "40000"):
             monkeypatch.setenv("ANISO_CELL_CAP", cap)
             for eta in bank.indices():
                 with pytest.raises(GridTooLargeError) as warm:
